@@ -70,6 +70,7 @@ from .solvers import (
     solve_dispatch,
     solve_equality_inj,
     solve_essentially_crisp,
+    solve_exact_layers,
     solve_lex,
     solve_oracle,
 )

@@ -3,8 +3,8 @@
 Two backends decide conjunctions of atoms over crisp order-type tables:
 
 * a complete layer-by-layer backtracking search, sound and complete for
-  every crisp language at desk scale, returning the lexicographically
-  least witness;
+  every crisp language at desk scale, returning the first witness in
+  layer order (see :func:`solve_crisp_complete`);
 * a greedy min-layer procedure, polynomial for languages closed under the
   binary minimum (or maximum, run on reversed tables).
 
@@ -121,8 +121,12 @@ def solve_crisp_complete(inst: CrispInstance,
     """Complete backtracking over successive bottom layers.
 
     Candidate bottom sets are explored in decreasing indicator order (the
-    earliest variable is the most significant bit), which makes the first
-    solution found the lexicographically least witness.
+    earliest variable is the most significant bit), layer after layer.  The
+    witness is therefore the satisfying weak order whose bottom layer has
+    the greatest indicator, ties broken by the next layer up, and so on.
+    That is not the lexicographically least rank vector: over ``v0..v3``,
+    ``neqInf(v2, v1)`` and ``ltInf(v2, v0)`` give ``[2,0,1,0]`` although
+    ``[1,1,0,0]`` also satisfies them.
     """
     limit = config.crisp_cap() if cap is None else cap
     _, atoms, diseqs = _compile(inst, limit, config.SEARCH_CAP_NAME)

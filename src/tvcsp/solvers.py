@@ -150,23 +150,36 @@ def _decide(cost: Cost, threshold: Optional[Cost]) -> Optional[bool]:
     return None if threshold is None else cost <= threshold
 
 
-def _common_denominator(rels: Sequence[ValuedRelation]) -> int:
-    d = 1
+def _scaled_tables(rels: Sequence[ValuedRelation]
+                   ) -> tuple[int, list[dict[WeakOrder, Union[int, float]]]]:
+    """The tables of ``rels`` rescaled to one common denominator.
+
+    Finite costs become plain integers and ``∞`` the float infinity, which
+    is exact: finite sums never leave the integers and the infinity is
+    absorbing.  Returns the denominator and one scaled table per relation.
+    """
+    denom = 1
     for rel in rels:
         for c in rel.table.values():
             if c.is_finite:
-                d = lcm(d, c.fraction.denominator)
-    return d
+                denom = lcm(denom, c.fraction.denominator)
+    inf = float("inf")
+    return denom, [
+        {w: (inf if not c.is_finite else int(c.fraction * denom))
+         for w, c in rel.table.items()}
+        for rel in rels]
+
+
+def _unscaled(total: Union[int, float], denom: int) -> Cost:
+    return INF if total == float("inf") else Cost(Fraction(int(total), denom))
 
 
 def solve_oracle(structure: ValuedStructure, inst: Instance,
                  cap: Optional[int] = None) -> SolveOutcome:
     """Exact minimum by enumeration of all weak orders on the variables.
 
-    Costs are rescaled to a common denominator so the inner loop runs on
-    plain integers (with the float infinity as the absorbing element,
-    which is exact: finite sums never leave the integers).  The reported
-    argmin is the least weak order attaining the minimum.
+    The inner loop runs on the integer tables of :func:`_scaled_tables`.
+    The reported argmin is the least weak order attaining the minimum.
     """
     n = len(inst.variables)
     limit = config.oracle_cap() if cap is None else cap
@@ -175,15 +188,11 @@ def solve_oracle(structure: ValuedStructure, inst: Instance,
                             config.SEARCH_CAP_NAME, limit)
     atoms = resolve_atoms(structure, inst)
     pos = {v: i for i, v in enumerate(inst.variables)}
-    denom = _common_denominator([rel for rel, _ in atoms])
+    denom, tables = _scaled_tables([rel for rel, _ in atoms])
 
     compiled = []
-    for rel, args in atoms:
+    for scaled, (_, args) in zip(tables, atoms):
         table: dict[tuple[int, ...], Union[int, float]] = {}
-        scaled = {
-            w: (float("inf") if not c.is_finite
-                else int(c.fraction * denom))
-            for w, c in rel.table.items()}
         compiled.append((scaled, tuple(pos[a] for a in args), table))
 
     inf = float("inf")
@@ -206,9 +215,95 @@ def solve_oracle(structure: ValuedStructure, inst: Instance,
             best_ranks = ranks
 
     assert best is not None and best_ranks is not None
-    cost = INF if best == inf else Cost(Fraction(int(best), denom))
+    cost = _unscaled(best, denom)
     return SolveOutcome(cost, WeakOrder(best_ranks),
                         _decide(cost, inst.threshold), "oracle")
+
+
+def solve_exact_layers(structure: ValuedStructure, inst: Instance,
+                       cap: Optional[int] = None) -> SolveOutcome:
+    """Exact minimum for instances whose atoms each use at most two
+    distinct variables, by dynamic programming over the set of placed
+    variables; same answer as :func:`solve_oracle`, argmin included.
+
+    A weak order is built bottom-up, one layer at a time.  An atom on
+    ``{x, y}`` is charged when the first of the two is placed: equal when
+    both land in the same layer, ``<`` towards the one still unplaced.
+    The cost of a layer ``L`` placed on ``S`` thus depends on ``L`` and
+    the unplaced rest only, and the best completion of every ``S`` follows
+    from those of its supersets: O(3ⁿ·n) steps instead of the ordered Bell
+    number of ``n`` weak orders.  Each state also keeps the least
+    completing rank vector (as base ``n + 1`` digits, the first variable
+    most significant), so ties break exactly as in the oracle.  Atoms on
+    one variable cost their all-equal entry wherever the assignment goes.
+    Shares the oracle's cap.
+    """
+    n = len(inst.variables)
+    limit = config.oracle_cap() if cap is None else cap
+    if n > limit:
+        raise CapacityError("layer dynamic program", n,
+                            config.SEARCH_CAP_NAME, limit)
+    atoms = resolve_atoms(structure, inst)
+    pos = {v: i for i, v in enumerate(inst.variables)}
+    denom, tables = _scaled_tables([rel for rel, _ in atoms])
+
+    # below[x][y]: cost of the atoms on {x, y} when x < y; equal[x][y]
+    # (x < y as indices): their cost when x = y
+    below = [[0] * n for _ in range(n)]
+    equal = [[0] * n for _ in range(n)]
+    constant: Union[int, float] = 0
+    for scaled, (rel, args) in zip(tables, atoms):
+        distinct = list(dict.fromkeys(args))
+        if len(distinct) == 1:
+            constant += scaled[bottom_order(rel.arity)]
+            continue
+        if len(distinct) > 2:
+            raise PreconditionError(
+                f"atom {rel.name!r} uses more than two distinct variables")
+        a, b = distinct
+        lt, eq, gt = (scaled[WeakOrder(tuple(ra if v == a else rb
+                                             for v in args))]
+                      for ra, rb in ((0, 1), (0, 0), (1, 0)))
+        x, y = pos[a], pos[b]
+        below[x][y] += lt
+        below[y][x] += gt
+        equal[min(x, y)][max(x, y)] += eq
+    if constant == float("inf"):
+        return SolveOutcome(INF, bottom_order(n),
+                            _decide(INF, inst.threshold), "exactLayers")
+
+    full = (1 << n) - 1
+    members = [tuple(i for i in range(n) if m >> i & 1)
+               for m in range(full + 1)]
+    # within[L]: atoms inside layer L; under[x][T]: atoms from x up to T
+    within = [sum(equal[x][y] for x in ms for y in ms if x < y)
+              for ms in members]
+    under = [[sum(below[x][y] for y in ms) for ms in members]
+             for x in range(n)]
+    base = n + 1
+    digits = [sum(base ** (n - 1 - i) for i in ms) for ms in members]
+
+    best: list[tuple[Union[int, float], int]] = [(0, 0)] * (full + 1)
+    for placed in range(full - 1, -1, -1):
+        rest = full ^ placed
+        choice = None
+        layer = rest
+        while layer:
+            above = rest ^ layer
+            cost, vec = best[placed | layer]
+            cand = (cost + within[layer]
+                    + sum(under[x][above] for x in members[layer]),
+                    vec + digits[above])
+            if choice is None or cand < choice:
+                choice = cand
+            layer = (layer - 1) & rest
+        best[placed] = choice
+
+    total, vec = best[0]
+    ranks = tuple(vec // base ** (n - 1 - i) % base for i in range(n))
+    cost = _unscaled(constant + total, denom)
+    return SolveOutcome(cost, WeakOrder(ranks),
+                        _decide(cost, inst.threshold), "exactLayers")
 
 
 def solve_const(structure: ValuedStructure, inst: Instance,
@@ -448,7 +543,7 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
 
 
 _FALLBACK_NOTE = ("template classified NP-complete; exact answer computed "
-                  "by exponential enumeration")
+                  "by exponential {}")
 
 
 def solve_dispatch(structure: ValuedStructure, inst: Instance,
@@ -457,8 +552,10 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
     """Classify, then route to the matching solver.
 
     Equality-invariant structures go through the equality classification
-    so both code paths stay exercised; hard templates fall back to the
-    oracle with an explicit warning in the outcome.
+    so both code paths stay exercised.  Hard templates fall back to an
+    exact exponential method, with an explicit warning in the outcome:
+    the layer dynamic program when every atom uses at most two distinct
+    variables, the oracle otherwise.
     """
     if structure.equality_invariant:
         verdict = classify_equality(structure)
@@ -478,6 +575,12 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
                                       witness=verdict.witness)
     else:
         assert verdict.case in (HARD_CASE, EQ_HARD_CASE)
-        out = solve_oracle(structure, inst)
-        out = replace(out, method="oracleFallback", note=_FALLBACK_NOTE)
+        if all(len(set(args)) <= 2 for _, args in inst.atoms):
+            out = solve_exact_layers(structure, inst)
+            how = "dynamic programming over layers"
+        else:
+            out = solve_oracle(structure, inst)
+            how = "enumeration of weak orders"
+        out = replace(out, method="oracleFallback",
+                      note=_FALLBACK_NOTE.format(how))
     return out, verdict

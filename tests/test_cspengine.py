@@ -68,9 +68,16 @@ def test_disequalities_respected():
     assert rx != rz and ry != rz and rx < ry
 
 
-def test_complete_returns_lex_least_witness():
-    # brute-force oracle: scan all weak orders in lexicographic order and
-    # return the first satisfying one
+def _layer_key(w):
+    # bottom layer's indicator first (first variable most significant),
+    # then the next layer up, and so on
+    return tuple(tuple(int(r == level) for r in w.ranks)
+                 for level in range(w.levels))
+
+
+def test_complete_returns_first_witness_in_layer_order():
+    # brute-force reference: among all satisfying weak orders, the one
+    # whose layer indicators are greatest, bottom layer first
     rng = random.Random(555)
     rels = [LT, EQC, t.feas(named_relation("leq01")), NEQ]
     for _ in range(40):
@@ -79,7 +86,17 @@ def test_complete_returns_lex_least_witness():
         if not _satisfying_orders(ci):
             assert not res.satisfiable
         else:
-            assert res.witness == _satisfying_orders(ci)[0]
+            assert res.witness == max(_satisfying_orders(ci),
+                                      key=_layer_key)
+
+
+def test_complete_witness_is_not_lex_least():
+    ci = CrispInstance(("v0", "v1", "v2", "v3"),
+                       ((t.feas(NEQ), ("v2", "v1")), (LT, ("v2", "v0"))))
+    sats = _satisfying_orders(ci)
+    assert WeakOrder((1, 1, 0, 0)) in sats
+    assert solve_crisp_complete(ci).witness == WeakOrder((2, 0, 1, 0))
+    assert max(sats, key=_layer_key) == WeakOrder((2, 0, 1, 0))
 
 
 def _satisfying_orders(ci):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -20,9 +21,11 @@ from tvcsp import (
     solve_dispatch,
     solve_equality_inj,
     solve_essentially_crisp,
+    solve_exact_layers,
     solve_lex,
     solve_oracle,
 )
+from tvcsp import config, orders, solvers
 
 import randgen as rg
 
@@ -249,6 +252,7 @@ def test_dispatch_oracle_fallback():
     assert verdict.complexity == "NP-complete"
     assert out.method == "oracleFallback"
     assert "exponential" in out.note
+    assert "dynamic programming" in out.note
     assert out.optimal_cost == Cost(1)
     assert out.decision is False
 
@@ -359,3 +363,162 @@ def test_monotone_repetition():
         c2 = solve_oracle(s, doubled).optimal_cost
         assert c2 <= c1.scale(2) or not c1.is_finite
         assert c2 >= c1
+
+
+# ---------------------------------------------------------------------------
+# exact layer dynamic program (hard route, atoms on at most two variables)
+# ---------------------------------------------------------------------------
+
+def _two_variable_instance(rng, structure, n):
+    """Atoms whose arguments repeat at most two distinct variables; some
+    variables may appear in no atom."""
+    variables = [f"v{i}" for i in range(n)]
+    atoms = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if roll < 0.04:
+            atoms.append(("empty", (rng.choice(variables),)))
+        elif roll < 0.14:
+            atoms.append(("eq", (rng.choice(variables),
+                                 rng.choice(variables))))
+        else:
+            rel = rng.choice(structure.relations)
+            pair = (rng.choice(variables), rng.choice(variables))
+            atoms.append((rel.name,
+                          tuple(rng.choice(pair) for _ in range(rel.arity))))
+    threshold = None
+    if rng.random() < 0.4:
+        threshold = Cost(rng.choice([-2, Fraction(-1, 2)] + rg.PALETTE))
+    return Instance.from_atoms(atoms, threshold, extra_vars=variables)
+
+
+def test_exact_layers_agrees_with_oracle():
+    rng = random.Random(707)
+    sizes = set()
+    for _ in range(150):
+        rels = []
+        for j in range(rng.randint(1, 3)):
+            rel = rg.rand_relation(rng, f"R{j}", rng.randint(1, 3),
+                                   inf_prob=rng.choice([0.0, 0.1, 0.3]))
+            amount = rng.choice([0, 0, Fraction(-5, 2), Fraction(-1, 3)])
+            rels.append(t.shift(rel, amount, name=f"R{j}"))
+        s = ValuedStructure(rels)
+        n = rng.randint(1, 6)
+        sizes.add(n)
+        inst = _two_variable_instance(rng, s, n)
+        got = solve_exact_layers(s, inst)
+        want = solve_oracle(s, inst)
+        assert got.optimal_cost == want.optimal_cost, (s.relations, inst)
+        assert got.argmin == want.argmin, (s.relations, inst)
+        assert got.decision == want.decision
+    assert sizes == {1, 2, 3, 4, 5, 6}
+
+
+def test_exact_layers_repeated_variables_and_constants():
+    s = ValuedStructure([r3_relation(), named_relation("lt01"),
+                         named_relation("neqInf")])
+    for atoms, cost in [
+            ([("R3", ("a", "a", "c"))], Cost(1)),
+            ([("R3", ("a", "a", "c")), ("lt01", ("c", "a"))], Cost(1)),
+            ([("lt01", ("a", "a"))], Cost(1)),
+            ([("neqInf", ("a", "a")), ("lt01", ("a", "b"))], INF),
+            ([("empty", ("b",))], INF)]:
+        inst = Instance.from_atoms(atoms, extra_vars=["z"])
+        got = solve_exact_layers(s, inst)
+        want = solve_oracle(s, inst)
+        assert got.optimal_cost == want.optimal_cost == cost
+        assert got.argmin == want.argmin
+    # an infinite constant atom leaves the all-equal order as argmin
+    assert got.argmin == WeakOrder((0, 0))
+
+
+def test_exact_layers_rejects_three_variable_atoms():
+    s = ValuedStructure([named_relation("Betw")])
+    with pytest.raises(PreconditionError):
+        solve_exact_layers(s, Instance.from_atoms([("Betw", ("x", "y", "z"))]))
+
+
+def test_dispatch_tournaments_match_permutation_brute_force():
+    for n in range(1, 6):
+        vertices = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(vertices, 2))
+        for flips in product((False, True), repeat=len(pairs)):
+            arcs = [(b, a) if f else (a, b) for (a, b), f in zip(pairs, flips)]
+            inst = Instance.from_atoms([("lt01", arc) for arc in arcs],
+                                       extra_vars=vertices)
+            out, verdict = solve_dispatch(S_LT, inst)
+            assert verdict.case == "hardCase"
+            assert out.method == "oracleFallback"
+            brute = min(
+                sum(1 for a, b in arcs if perm.index(a) > perm.index(b))
+                for perm in permutations(vertices))
+            assert out.optimal_cost == Cost(brute), arcs
+            assert evaluate(S_LT, inst, out.argmin) == out.optimal_cost
+
+
+def test_dispatch_ternary_hard_atoms_use_the_oracle(monkeypatch):
+    calls = []
+    real_oracle = solvers.solve_oracle
+
+    def counting_oracle(*args, **kwargs):
+        calls.append(args[1])
+        return real_oracle(*args, **kwargs)
+
+    def no_layers(*args, **kwargs):
+        raise AssertionError("layer dynamic program on a ternary atom")
+
+    monkeypatch.setattr(solvers, "solve_oracle", counting_oracle)
+    monkeypatch.setattr(solvers, "solve_exact_layers", no_layers)
+    rng = random.Random(808)
+    for name in ("Betw", "Dis"):
+        s = ValuedStructure([named_relation(name)])
+        for _ in range(8):
+            n = rng.randint(3, 5)
+            variables = [f"v{i}" for i in range(n)]
+            atoms = [(name, tuple(rng.sample(variables, 3)))
+                     for _ in range(rng.randint(1, 4))]
+            inst = Instance.from_atoms(atoms, extra_vars=variables)
+            out, verdict = solve_dispatch(s, inst)
+            assert verdict.complexity == "NP-complete"
+            assert out.method == "oracleFallback"
+            assert "enumeration" in out.note
+            assert calls[-1].atoms == inst.atoms
+            want = real_oracle(s, inst)
+            assert (out.optimal_cost, out.argmin) == (want.optimal_cost,
+                                                      want.argmin)
+    assert len(calls) == 16
+
+
+def test_dispatch_hard_route_keeps_the_search_cap(monkeypatch):
+    cap = config.oracle_cap()
+    arcs = [(f"v{i}", f"v{(i + 1) % (cap + 1)}") for i in range(cap + 1)]
+    with pytest.raises(CapacityError) as err:
+        solve_dispatch(S_LT, Instance.from_atoms(
+            [("lt01", arc) for arc in arcs]))
+    assert "TVCSP_SEARCH_CAP" in str(err.value)
+
+    monkeypatch.setenv("TVCSP_SEARCH_CAP", "4")
+    with pytest.raises(CapacityError) as err:
+        solve_dispatch(S_LT, Instance.from_atoms(
+            [("lt01", arc) for arc in arcs[:4]] + [("lt01", ("v4", "v0"))]))
+    assert "TVCSP_SEARCH_CAP=4" in str(err.value)
+
+
+def test_dispatch_fas_enumerates_no_weak_orders_on_all_variables(monkeypatch):
+    sizes = []
+    real = orders._weak_orders
+
+    def counting(k):
+        sizes.append(k)
+        return real(k)
+
+    monkeypatch.setattr(orders, "_weak_orders", counting)
+    n = 8
+    # a directed n-cycle plus chords forward along v0 < ... < v7: optimum 1
+    arcs = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+    arcs += [(f"v{i}", f"v{i + 2}") for i in range(n - 2)]
+    inst = Instance.from_atoms([("lt01", arc) for arc in arcs])
+    out, _ = solve_dispatch(S_LT, inst)
+    assert out.optimal_cost == Cost(1)
+    assert evaluate(S_LT, inst, out.argmin) == Cost(1)
+    assert n not in sizes
