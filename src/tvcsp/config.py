@@ -5,10 +5,12 @@ explicit ``cap=`` argument that defaults to the values here.
 
 * ``TVCSP_ARITY_CAP``: maximum arity of a cost table (default 6; the table
   for arity 6 already has 4683 entries).
-* ``TVCSP_SEARCH_CAP``: maximum number of variables the exact enumeration
+* ``TVCSP_SEARCH_CAP``: maximum number of variables the exact exponential
   backends accept.  When unset, the brute-force optimizer caps at
-  ``DEFAULT_ORACLE_CAP`` variables and the crisp satisfiability backend at
-  ``DEFAULT_CRISP_CAP``; when set, both use the given value.
+  ``DEFAULT_ORACLE_CAP`` variables (it enumerates the ordered Bell number
+  of weak orders), the layer dynamic program at ``DEFAULT_LAYER_CAP`` (it
+  takes O(3ⁿ·n) steps) and the crisp satisfiability backend at
+  ``DEFAULT_CRISP_CAP``; when set, all three use the given value.
 
 The improvement/preservation testers enumerate joint order types on ``2k``
 or ``2k + 1`` positions and carry their own default cap of
@@ -19,6 +21,7 @@ import os
 
 DEFAULT_ARITY_CAP = 6
 DEFAULT_ORACLE_CAP = 8
+DEFAULT_LAYER_CAP = 12
 DEFAULT_CRISP_CAP = 10
 DEFAULT_JOINT_ARITY_CAP = 4
 
@@ -42,6 +45,10 @@ def arity_cap() -> int:
 
 def oracle_cap() -> int:
     return _env_int(SEARCH_CAP_NAME, DEFAULT_ORACLE_CAP)
+
+
+def layer_cap() -> int:
+    return _env_int(SEARCH_CAP_NAME, DEFAULT_LAYER_CAP)
 
 
 def crisp_cap() -> int:

@@ -259,20 +259,41 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
 
 def forced_equalities(inst: CrispInstance,
                       cap: Optional[int] = None) -> tuple[tuple[str, str], ...]:
-    """All variable pairs equal in every solution.
+    """All variable pairs equal in every solution, as ``(x, y)`` pairs with
+    ``x`` declared before ``y``, in declaration order.
 
-    Decided with one satisfiability probe per pair: (x, y) is forced
-    exactly when the instance plus the disequality x ≠ y is unsatisfiable.
-    The instance itself must be satisfiable.
+    A pair (x, y) is forced exactly when the instance plus the disequality
+    x ≠ y is unsatisfiable.  Pairs are taken in order and only undecided
+    ones are probed:
+
+    * a pair that some witness found so far separates (the base solution
+      or the solution of a satisfiable probe) is not forced;
+    * a pair inside a class already merged by unsatisfiable probes is
+      forced, since forced equality is an equivalence relation.
+
+    So at most one probe per pair is made (the base solve plus ``n(n-1)/2``
+    probes in the worst case), and none at all when the base solution is
+    injective.  The instance itself must be satisfiable.
     """
     base = solve_crisp_complete(inst, cap=cap)
     if not base.satisfiable:
         raise PreconditionError("forced equalities of an unsatisfiable instance")
-    out = []
     vs = inst.variables
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            probe = inst.with_disequality(vs[i], vs[j])
-            if not solve_crisp_complete(probe, cap=cap).satisfiable:
-                out.append((vs[i], vs[j]))
+    n = len(vs)
+    seen = [] if base.witness is None else [base.witness.ranks]
+    cls = list(range(n))  # class label per variable; same label = forced
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if any(r[i] != r[j] for r in seen):
+                continue
+            if cls[i] != cls[j]:
+                probe = inst.with_disequality(vs[i], vs[j])
+                res = solve_crisp_complete(probe, cap=cap)
+                if res.satisfiable:
+                    seen.append(res.witness.ranks)
+                    continue
+                old, new = cls[j], cls[i]
+                cls = [new if c == old else c for c in cls]
+            out.append((vs[i], vs[j]))
     return tuple(out)

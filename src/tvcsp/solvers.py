@@ -26,10 +26,11 @@ from .classify import (
     HARD_CASE,
     LEX_CASE,
     Verdict,
+    _first_preserver,
     classify_equality,
     classify_temporal,
 )
-from .canonops import CLASSIFIER_OPS, CanonicalOp, OPS, improves, preserves
+from .canonops import CanonicalOp, OPS, improves
 from .cost import Cost, INF, ZERO
 from .cspengine import (
     CrispInstance,
@@ -236,10 +237,10 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
     completing rank vector (as base ``n + 1`` digits, the first variable
     most significant), so ties break exactly as in the oracle.  Atoms on
     one variable cost their all-equal entry wherever the assignment goes.
-    Shares the oracle's cap.
+    Capped at ``config.layer_cap()`` variables.
     """
     n = len(inst.variables)
-    limit = config.oracle_cap() if cap is None else cap
+    limit = config.layer_cap() if cap is None else cap
     if n > limit:
         raise CapacityError("layer dynamic program", n,
                             config.SEARCH_CAP_NAME, limit)
@@ -315,7 +316,11 @@ def solve_const(structure: ValuedStructure, inst: Instance,
         if not improves(const0, rel):
             raise PreconditionError(
                 f"constant operation does not improve {rel.name!r}")
-    inst = replace(inst, threshold=threshold or inst.threshold)
+    return _solve_const(
+        structure, replace(inst, threshold=threshold or inst.threshold))
+
+
+def _solve_const(structure: ValuedStructure, inst: Instance) -> SolveOutcome:
     w = bottom_order(len(inst.variables))
     cost = evaluate(structure, inst, w)
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), CONST_CASE)
@@ -363,7 +368,12 @@ def solve_equality_inj(structure: ValuedStructure, inst: Instance,
         if not improves(inj, rel):
             raise PreconditionError(
                 f"binary injection does not improve {rel.name!r}")
-    inst = replace(inst, threshold=threshold or inst.threshold)
+    return _solve_equality_inj(
+        structure, replace(inst, threshold=threshold or inst.threshold))
+
+
+def _solve_equality_inj(structure: ValuedStructure,
+                        inst: Instance) -> SolveOutcome:
     atoms = resolve_atoms(structure, inst)
     uf = _UnionFind(inst.variables)
 
@@ -444,15 +454,17 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
         if not improves(lex, rel):
             raise PreconditionError(f"lex does not improve {rel.name!r}")
     if witness is None:
-        hat = build_hat(structure)
-        for op in CLASSIFIER_OPS:
-            if all(preserves(op, rel) for rel in hat):
-                witness = op
-                break
+        witness = _first_preserver(build_hat(structure))
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the derived crisp structure")
-    inst = replace(inst, threshold=threshold or inst.threshold)
+    return _solve_lex(
+        structure, replace(inst, threshold=threshold or inst.threshold),
+        witness)
+
+
+def _solve_lex(structure: ValuedStructure, inst: Instance,
+               witness: CanonicalOp) -> SolveOutcome:
     atoms = resolve_atoms(structure, inst)
     backend = _pick_backend(witness)
 
@@ -519,11 +531,7 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
     if not structure.essentially_crisp:
         raise PreconditionError("structure is not essentially crisp")
     if witness is None:
-        fs = feas_structure(structure)
-        for op in CLASSIFIER_OPS:
-            if all(preserves(op, rel) for rel in fs):
-                witness = op
-                break
+        witness = _first_preserver(feas_structure(structure))
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the feasibility structure")
@@ -552,7 +560,9 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
     """Classify, then route to the matching solver.
 
     Equality-invariant structures go through the equality classification
-    so both code paths stay exercised.  Hard templates fall back to an
+    so both code paths stay exercised.  The verdict's tests are exactly the
+    preconditions of the constant, injection and lex solvers, so their
+    bodies run without testing them again.  Hard templates fall back to an
     exact exponential method, with an explicit warning in the outcome:
     the layer dynamic program when every atom uses at most two distinct
     variables, the oracle otherwise.
@@ -564,12 +574,11 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
     inst = replace(inst, threshold=threshold or inst.threshold)
 
     if verdict.case in (CONST_CASE, EQ_CONST_CASE):
-        out = solve_const(structure, inst)
-        out = replace(out, method=verdict.case)
+        out = replace(_solve_const(structure, inst), method=verdict.case)
     elif verdict.case == EQ_INJ_CASE:
-        out = solve_equality_inj(structure, inst)
+        out = _solve_equality_inj(structure, inst)
     elif verdict.case == LEX_CASE:
-        out = solve_lex(structure, inst, witness=verdict.witness)
+        out = _solve_lex(structure, inst, verdict.witness)
     elif verdict.case == ESS_CRISP_CASE:
         out = solve_essentially_crisp(structure, inst,
                                       witness=verdict.witness)

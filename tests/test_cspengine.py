@@ -3,6 +3,7 @@ import random
 import pytest
 
 import tvcsp as t
+from tvcsp import cspengine
 from tvcsp import (
     CrispInstance,
     PreconditionError,
@@ -19,6 +20,7 @@ import randgen as rg
 LT = named_relation("ltInf")
 NEQ = named_relation("neqInf")
 EQC = t.rel_abg(t.ZERO, t.INF, t.INF, name="eqc")
+LEQ = t.rel_abg(t.ZERO, t.ZERO, t.INF, name="leqc")
 BETW = named_relation("Betw")
 
 
@@ -38,10 +40,17 @@ def test_antisymmetry_unsat():
     assert not solve_crisp_complete(ci).satisfiable
 
 
-def test_chain_witness_is_lex_least():
+def test_chain_witness_follows_layer_order():
     ci = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")), (LT, ("y", "z"))))
-    res = solve_crisp_complete(ci)
-    assert res.witness == WeakOrder((0, 1, 2))
+    assert _satisfying_orders(ci) == [WeakOrder((0, 1, 2))]
+    assert solve_crisp_complete(ci).witness == WeakOrder((0, 1, 2))
+    # several satisfying orders: y alone is the greatest admissible bottom
+    # layer, then z, then x, although [1,1,0] is lexicographically smaller
+    ci = CrispInstance(("x", "y", "z"), ((NEQ, ("z", "y")), (LT, ("z", "x"))))
+    sats = _satisfying_orders(ci)
+    assert len(sats) > 1 and WeakOrder((1, 1, 0)) in sats
+    assert solve_crisp_complete(ci).witness == WeakOrder((2, 0, 1))
+    assert max(sats, key=_layer_key) == WeakOrder((2, 0, 1))
 
 
 def test_betweenness_pair_unsat():
@@ -220,3 +229,68 @@ def test_forced_equalities_monotone_under_atoms():
         extended = set(forced_equalities(bigger))
         assert base <= extended
         trials += 1
+
+
+def _forced_equalities_reference(inst):
+    """One probe per pair, no pruning."""
+    assert solve_crisp_complete(inst).satisfiable
+    vs = inst.variables
+    return tuple((vs[i], vs[j])
+                 for i in range(len(vs)) for j in range(i + 1, len(vs))
+                 if not solve_crisp_complete(
+                     inst.with_disequality(vs[i], vs[j])).satisfiable)
+
+
+def _count_complete_calls(monkeypatch):
+    calls = []
+    real = cspengine.solve_crisp_complete
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cspengine, "solve_crisp_complete", counting)
+    return calls
+
+
+def test_forced_equalities_match_all_pairs_reference(monkeypatch):
+    # eqc and leqc make forced pairs common, so both pruning rules fire
+    rels = [LT, NEQ, t.feas(named_relation("leq01")),
+            t.feas(named_relation("eq01")), BETW, EQC, LEQ]
+    rng = random.Random(2024)
+    calls = _count_complete_calls(monkeypatch)
+    checked = with_forced = 0
+    while checked < 500:
+        ci = rg.rand_crisp_instance(rng, rels, max_vars=7, max_atoms=8)
+        if not solve_crisp_complete(ci).satisfiable:
+            continue
+        want = _forced_equalities_reference(ci)
+        calls.clear()
+        got = forced_equalities(ci)
+        assert got == want, ci
+        n = len(ci.variables)
+        assert len(calls) <= 1 + n * (n - 1) // 2
+        checked += 1
+        with_forced += bool(want)
+    assert with_forced >= 50
+
+
+def test_forced_equalities_probe_counts(monkeypatch):
+    calls = _count_complete_calls(monkeypatch)
+    vs = tuple(f"v{i}" for i in range(8))
+    chain = CrispInstance(vs, tuple((LT, (vs[i], vs[i + 1]))
+                                    for i in range(7)))
+    assert forced_equalities(chain) == ()
+    assert len(calls) == 1  # the injective base witness settles every pair
+
+    calls.clear()
+    vs = vs[:6]
+    equal = CrispInstance(vs, tuple((EQC, (vs[i], vs[i + 1]))
+                                    for i in range(5)))
+    assert forced_equalities(equal) == tuple(
+        (vs[i], vs[j]) for i in range(6) for j in range(i + 1, 6))
+    assert len(calls) == 6  # v0 against each other; the rest by transitivity
+
+    calls.clear()
+    assert forced_equalities(CrispInstance((), ())) == ()
+    assert len(calls) == 1

@@ -328,6 +328,36 @@ def test_polynomial_solvers_scale_past_the_oracle_cap():
     assert out.optimal_cost == Cost(len(eq_edges))
 
 
+def test_dispatch_does_not_retest_solver_preconditions(monkeypatch):
+    # the verdict already established them; the public solvers still test
+    real = solvers.improves
+    calls = []
+
+    def counting(op, rel, *args, **kwargs):
+        calls.append(op.tag)
+        return real(op, rel, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "improves", counting)
+    cases = [
+        (ValuedStructure([named_relation("leq01")]), "leq01", "constCase"),
+        (ValuedStructure([named_relation("neq01")]), "neq01", "eqInjCase"),
+        (ValuedStructure([named_relation("neq01"), named_relation("ltInf")]),
+         "ltInf", "lexCase"),
+    ]
+    public = {"constCase": solve_const, "eqInjCase": solve_equality_inj,
+              "lexCase": solve_lex}
+    for s, name, case in cases:
+        inst = Instance.from_atoms([(name, ("x", "y")), (name, ("y", "z"))])
+        out, verdict = solve_dispatch(s, inst)
+        assert (verdict.case, out.method) == (case, case)
+        assert calls == []
+        direct = public[case](s, inst)
+        assert (direct.optimal_cost, direct.argmin) == (out.optimal_cost,
+                                                        out.argmin)
+        assert calls
+        calls.clear()
+
+
 def test_dispatch_agrees_with_oracle_on_arbitrary_structures():
     rng = random.Random(505)
     makers = [rg.make_const_structure, rg.make_inj_structure,
@@ -490,18 +520,38 @@ def test_dispatch_ternary_hard_atoms_use_the_oracle(monkeypatch):
 
 
 def test_dispatch_hard_route_keeps_the_search_cap(monkeypatch):
-    cap = config.oracle_cap()
-    arcs = [(f"v{i}", f"v{(i + 1) % (cap + 1)}") for i in range(cap + 1)]
+    # the layer dynamic program and the oracle each have their own default
+    # cap; TVCSP_SEARCH_CAP overrides both
+    def fas_cycle(n):
+        return Instance.from_atoms(
+            [("lt01", (f"v{i}", f"v{(i + 1) % n}")) for i in range(n)])
+
+    def betw_path(n):
+        return Instance.from_atoms(
+            [("Betw", (f"v{i}", f"v{i + 1}", f"v{i + 2}"))
+             for i in range(n - 2)])
+
+    s_betw = ValuedStructure([named_relation("Betw")])
+    layer_cap, oracle_cap = config.layer_cap(), config.oracle_cap()
+    assert (layer_cap, oracle_cap) == (config.DEFAULT_LAYER_CAP,
+                                       config.DEFAULT_ORACLE_CAP)
     with pytest.raises(CapacityError) as err:
-        solve_dispatch(S_LT, Instance.from_atoms(
-            [("lt01", arc) for arc in arcs]))
-    assert "TVCSP_SEARCH_CAP" in str(err.value)
+        solve_dispatch(S_LT, fas_cycle(layer_cap + 1))
+    assert "layer dynamic program" in str(err.value)
+    assert f"TVCSP_SEARCH_CAP={layer_cap}" in str(err.value)
+    with pytest.raises(CapacityError) as err:
+        solve_dispatch(s_betw, betw_path(oracle_cap + 1))
+    assert "oracle enumeration" in str(err.value)
+    assert f"TVCSP_SEARCH_CAP={oracle_cap}" in str(err.value)
+    # the dynamic program answers past the oracle's cap
+    out, _ = solve_dispatch(S_LT, fas_cycle(oracle_cap + 1))
+    assert out.optimal_cost == Cost(1)
 
     monkeypatch.setenv("TVCSP_SEARCH_CAP", "4")
-    with pytest.raises(CapacityError) as err:
-        solve_dispatch(S_LT, Instance.from_atoms(
-            [("lt01", arc) for arc in arcs[:4]] + [("lt01", ("v4", "v0"))]))
-    assert "TVCSP_SEARCH_CAP=4" in str(err.value)
+    for s, inst in ((S_LT, fas_cycle(5)), (s_betw, betw_path(5))):
+        with pytest.raises(CapacityError) as err:
+            solve_dispatch(s, inst)
+        assert "TVCSP_SEARCH_CAP=4" in str(err.value)
 
 
 def test_dispatch_fas_enumerates_no_weak_orders_on_all_variables(monkeypatch):
