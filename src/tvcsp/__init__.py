@@ -12,14 +12,11 @@ brute-force oracle, and a small file format with a CLI.
 from .cost import Cost, INF, ZERO, parse_cost
 from .orders import (
     JointConfig,
-    PairClasses,
     WeakOrder,
     canonical_weak_order,
     enumerate_weak_orders,
-    induced_order_type,
     joint_configs,
     ordered_bell,
-    pair_classes,
 )
 from .relations import (
     Expression,
@@ -49,7 +46,6 @@ from .canonops import (
     OPS,
     apply_op,
     apply_values,
-    essentially_crisp,
     get_op,
     improves,
     preserves,

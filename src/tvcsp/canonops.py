@@ -303,9 +303,3 @@ def preserves_structure(op: CanonicalOp, s: ValuedStructure,
         if not res:
             return res
     return CheckResult(True)
-
-
-def essentially_crisp(s: ValuedStructure) -> bool:
-    """At most one distinct finite value per relation; equivalent to the
-    first binary projection improving the structure."""
-    return s.essentially_crisp

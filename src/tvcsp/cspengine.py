@@ -20,13 +20,14 @@ fall back.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import config
 from .errors import CapacityError, PreconditionError, UnsupportedClassError
 from .orders import WeakOrder
-from .relations import ValuedRelation, reverse_relation
+from .relations import ValuedRelation
 
 Atom = tuple[ValuedRelation, tuple[str, ...]]
 
@@ -54,8 +55,14 @@ class CrispInstance:
                 raise ValueError(f"bad disequality pair ({x}, {y})")
 
     def with_disequality(self, x: str, y: str) -> "CrispInstance":
-        return CrispInstance(self.variables, self.atoms,
-                             self.disequalities | {(x, y)})
+        """This instance plus ``x ≠ y``.  Only the new pair is validated:
+        the rest was checked when this instance was built."""
+        if x == y or x not in self.variables or y not in self.variables:
+            raise ValueError(f"bad disequality pair ({x}, {y})")
+        out = copy.copy(self)
+        object.__setattr__(out, "disequalities",
+                           self.disequalities | {(x, y)})
+        return out
 
 
 @dataclass(frozen=True)
@@ -132,34 +139,41 @@ def solve_crisp_complete(inst: CrispInstance,
     _, atoms, diseqs = _compile(inst, limit, config.SEARCH_CAP_NAME)
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
-
-    def ok_so_far() -> bool:
-        return all(a.consistent(layer) for a in atoms)
-
-    def backtrack(unplaced: tuple[int, ...], depth: int) -> bool:
-        if not unplaced:
-            return True
-        m = len(unplaced)
-        for mask in range((1 << m) - 1, 0, -1):
-            chosen = [unplaced[i] for i in range(m) if mask & (1 << (m - 1 - i))]
-            for v in chosen:
-                layer[v] = depth
-            bad = any(layer[x] == layer[y] for x, y in diseqs
-                      if layer[x] is not None and layer[y] is not None)
-            if not bad and ok_so_far():
-                rest = tuple(v for v in unplaced if layer[v] is None)
-                if backtrack(rest, depth + 1):
-                    return True
-            for v in chosen:
-                layer[v] = None
-        return False
-
     if n == 0:
         return SatResult(True, None)
-    if backtrack(tuple(range(n)), 0):
+    if _backtrack(atoms, diseqs, layer, tuple(range(n)), 0):
         ranks = tuple(layer[i] for i in range(n))
         return SatResult(True, WeakOrder(ranks))
     return SatResult(False, None)
+
+
+def _backtrack(atoms: list[_CompiledAtom],
+               diseqs: tuple[tuple[int, int], ...],
+               layer: list[Optional[int]], unplaced: tuple[int, ...],
+               depth: int) -> bool:
+    """Place some of ``unplaced`` as layer ``depth``, then the rest above.
+
+    A module-level function rather than a closure: a recursive closure
+    refers to itself through its cell, so every search would leave a
+    reference cycle holding its compiled atoms until the cyclic collector
+    runs.
+    """
+    if not unplaced:
+        return True
+    m = len(unplaced)
+    for mask in range((1 << m) - 1, 0, -1):
+        chosen = [unplaced[i] for i in range(m) if mask & (1 << (m - 1 - i))]
+        for v in chosen:
+            layer[v] = depth
+        bad = any(layer[x] == layer[y] for x, y in diseqs
+                  if layer[x] is not None and layer[y] is not None)
+        if not bad and all(a.consistent(layer) for a in atoms):
+            rest = tuple(v for v in unplaced if layer[v] is None)
+            if _backtrack(atoms, diseqs, layer, rest, depth + 1):
+                return True
+        for v in chosen:
+            layer[v] = None
+    return False
 
 
 def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
@@ -185,9 +199,10 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
             "disequality side-constraints are not min-closed; "
             "use the complete backend")
     if direction == "max":
+        # a list first: see solvers.Instance.from_atoms
         flipped = CrispInstance(
             inst.variables,
-            tuple((reverse_relation(rel), args) for rel, args in inst.atoms))
+            tuple([(rel.reversed(), args) for rel, args in inst.atoms]))
         res = solve_crisp_minlayer(flipped, "min", check_closure, cap)
         if res.witness is None:
             return res
@@ -257,8 +272,9 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
     return SatResult(True, witness)
 
 
-def forced_equalities(inst: CrispInstance,
-                      cap: Optional[int] = None) -> tuple[tuple[str, str], ...]:
+def forced_equalities(inst: CrispInstance, cap: Optional[int] = None,
+                      witness: Optional[WeakOrder] = None
+                      ) -> tuple[tuple[str, str], ...]:
     """All variable pairs equal in every solution, as ``(x, y)`` pairs with
     ``x`` declared before ``y``, in declaration order.
 
@@ -274,13 +290,20 @@ def forced_equalities(inst: CrispInstance,
     So at most one probe per pair is made (the base solve plus ``n(n-1)/2``
     probes in the worst case), and none at all when the base solution is
     injective.  The instance itself must be satisfiable.
+
+    A caller that already holds a solution passes it as ``witness``, and
+    the base solve is skipped.  Any solution gives the same pairs: a pair
+    that some solution separates is not forced, whichever seeds the search.
     """
-    base = solve_crisp_complete(inst, cap=cap)
-    if not base.satisfiable:
-        raise PreconditionError("forced equalities of an unsatisfiable instance")
+    if witness is None:
+        base = solve_crisp_complete(inst, cap=cap)
+        if not base.satisfiable:
+            raise PreconditionError(
+                "forced equalities of an unsatisfiable instance")
+        witness = base.witness
     vs = inst.variables
     n = len(vs)
-    seen = [] if base.witness is None else [base.witness.ranks]
+    seen = [] if witness is None else [witness.ranks]
     cls = list(range(n))  # class label per variable; same label = forced
     out = []
     for i in range(n):

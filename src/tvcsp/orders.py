@@ -8,10 +8,9 @@ rank values used are always the initial segment ``{0, …, m-1}``.
 
 Everything downstream indexes cost tables by these weak orders, so this
 module also provides their enumeration (counted by the ordered Bell
-numbers), the pairwise comparison classes of a weak order, and joint
-configurations: canonical weak orders on the ``2k`` coordinates of a pair
-of tuples, optionally with the constant 0 placed among them, which is what
-binary canonical operations consume.
+numbers) and joint configurations: canonical weak orders on the ``2k``
+coordinates of a pair of tuples, optionally with the constant 0 placed
+among them, which is what binary canonical operations consume.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import config
 from .errors import CapacityError
@@ -133,43 +132,6 @@ def enumerate_weak_orders(k: int, cap: Optional[int] = None) -> tuple[WeakOrder,
 
 def ordered_bell(k: int) -> int:
     return len(enumerate_weak_orders(k))
-
-
-def induced_order_type(assignment: Mapping, args: Sequence) -> WeakOrder:
-    """Order type of ``(assignment[a] for a in args)``; repeats allowed."""
-    try:
-        values = [assignment[a] for a in args]
-    except KeyError as exc:
-        raise KeyError(f"argument {exc.args[0]!r} has no assigned value") from exc
-    return canonical_weak_order(values)
-
-
-@dataclass(frozen=True, slots=True)
-class PairClasses:
-    """The comparison classes of a weak order, over 1-based positions.
-
-    ``eq`` holds the pairs at equal rank (including the diagonal), ``neq``
-    the rest, and ``lt`` the strictly increasing pairs.
-    """
-
-    eq: frozenset[tuple[int, int]]
-    neq: frozenset[tuple[int, int]]
-    lt: frozenset[tuple[int, int]]
-
-
-def pair_classes(w: WeakOrder) -> PairClasses:
-    eq, neq, lt = set(), set(), set()
-    k = w.arity
-    for p in range(k):
-        for q in range(k):
-            pair = (p + 1, q + 1)
-            if w.ranks[p] == w.ranks[q]:
-                eq.add(pair)
-            else:
-                neq.add(pair)
-                if w.ranks[p] < w.ranks[q]:
-                    lt.add(pair)
-    return PairClasses(frozenset(eq), frozenset(neq), frozenset(lt))
 
 
 def partition_signature(w: WeakOrder) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import re
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -50,20 +51,42 @@ class ValuedRelation:
     def cost(self, w: WeakOrder) -> Cost:
         return self.table[w]
 
+    # The facts below depend on the table alone, which never changes, so
+    # each is computed on first use and kept on the relation.
+
     def is_crisp(self) -> bool:
+        return self._crisp
+
+    @cached_property
+    def _crisp(self) -> bool:
         return all(c == ZERO or c == INF for c in self.table.values())
 
     def finite_values(self) -> tuple[Cost, ...]:
         """Distinct finite costs, sorted."""
-        vals = {c for c in self.table.values() if c.is_finite}
-        return tuple(sorted(vals))
+        return self._finite_values
+
+    @cached_property
+    def _finite_values(self) -> tuple[Cost, ...]:
+        return tuple(sorted({c for c in self.table.values() if c.is_finite}))
 
     def is_essentially_crisp(self) -> bool:
         return len(self.finite_values()) <= 1
 
     def zeros(self) -> tuple[WeakOrder, ...]:
+        return self._zeros
+
+    @cached_property
+    def _zeros(self) -> tuple[WeakOrder, ...]:
         return tuple(w for w in enumerate_weak_orders(self.arity)
                      if self.table[w] == ZERO)
+
+    def reversed(self) -> "ValuedRelation":
+        """:func:`reverse_relation` of this relation, built once."""
+        return self._reversed
+
+    @cached_property
+    def _reversed(self) -> "ValuedRelation":
+        return reverse_relation(self)
 
     def renamed(self, name: str) -> "ValuedRelation":
         return ValuedRelation(name, self.arity, self.table)

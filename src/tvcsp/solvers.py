@@ -7,10 +7,18 @@ induces on the variables, so the oracle minimizes over all weak orders.
 The specialized solvers implement the polynomial algorithms of the
 tractable classification cases and are cross-checked against the oracle in
 the test suite.
+
+Everything the solvers derive from the structure alone (the verdict, the
+feasibility relations, the optimum relations of minors) lives in a
+:class:`Plan`.  :func:`solve_dispatch` keeps the plans of recently seen
+structures in a small cache keyed on structure content, so a template
+sent again with a new instance is not classified or compiled again.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -92,8 +100,13 @@ class Instance:
             for v in args:
                 if v not in seen:
                     seen.append(v)
+        # tuple() of a list, not of a generator: CPython builds a tuple from
+        # a generator at a guessed size and resizes it, and the dead tuple
+        # goes to the free list of its final size, which only tuples made
+        # at an exact size drain.  Per-solve atom tuples made that way pile
+        # up there, about 1 MB of peak memory over a long run of solves.
         return Instance(tuple(seen),
-                        tuple((n, tuple(a)) for n, a in atoms), threshold)
+                        tuple([(n, tuple(a)) for n, a in atoms]), threshold)
 
 
 @dataclass(frozen=True)
@@ -307,6 +320,74 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
                         _decide(cost, inst.threshold), "exactLayers")
 
 
+class Plan:
+    """What the tractable solvers derive from one structure, kept for reuse.
+
+    ``structure`` answers for every structure with the same content and
+    ``verdict`` is its classification (``None`` in the throwaway plans of
+    the public solvers, which are handed their witness or find it).  The
+    derived crisp data of a relation is computed the first time a solve
+    needs it and then kept: its feasibility relation and, for each minor
+    the lex solver meets, the minor's injective value and optimum
+    relation.  The zero sets, crispness and reversed tables the crisp
+    backends read are kept on those relations themselves.
+
+    A plan holds data only: no solver functions and no caps, which are
+    read at every solve.
+    """
+
+    __slots__ = ("structure", "verdict", "_feas", "_minors")
+
+    def __init__(self, structure: ValuedStructure,
+                 verdict: Optional[Verdict] = None):
+        self.structure = structure
+        self.verdict = verdict
+        self._feas: dict[str, ValuedRelation] = {}
+        self._minors: dict[tuple, tuple[Cost, ValuedRelation]] = {}
+
+    def feasibility(self, rel: ValuedRelation) -> ValuedRelation:
+        out = self._feas.get(rel.name)
+        if out is None:
+            out = self._feas[rel.name] = feas(rel)
+        return out
+
+    def feas_instance(self, atoms, variables) -> CrispInstance:
+        # a list first: see Instance.from_atoms
+        return CrispInstance(
+            tuple(variables),
+            tuple([(self.feasibility(rel), args) for rel, args in atoms]))
+
+    def lex_minor(self, rel: ValuedRelation,
+                  blocks: tuple[tuple[int, ...], ...]
+                  ) -> tuple[Cost, ValuedRelation]:
+        """The unique finite injective value of the minor of ``rel`` that
+        identifies each block of positions, and the minor's optimum
+        relation; :class:`InvariantViolation` when lex cannot improve the
+        minor."""
+        key = (rel.name, blocks)
+        out = self._minors.get(key)
+        if out is not None:
+            return out
+        sub = minor(rel, blocks)
+        inj_vals = {sub.table[w] for w in enumerate_weak_orders(sub.arity)
+                    if w.is_injective() and sub.table[w].is_finite}
+        if len(inj_vals) > 1:
+            raise InvariantViolation(
+                f"finite injective entries of {sub.name!r} disagree; "
+                "lex improvement cannot hold")
+        if not inj_vals:
+            raise InvariantViolation(
+                f"{sub.name!r} has no finite injective entry after forced "
+                "equalities; lex improvement cannot hold")
+        m_j = inj_vals.pop()
+        if sub.finite_values()[0] != m_j:
+            raise InvariantViolation(
+                f"{sub.name!r} undercuts its injective value; "
+                "lex improvement cannot hold")
+        out = self._minors[key] = (m_j, opt(sub))
+        return out
+
+
 def solve_const(structure: ValuedStructure, inst: Instance,
                 threshold: Optional[Cost] = None) -> SolveOutcome:
     """All-equal assignment; optimal whenever the constant operation
@@ -317,12 +398,12 @@ def solve_const(structure: ValuedStructure, inst: Instance,
             raise PreconditionError(
                 f"constant operation does not improve {rel.name!r}")
     return _solve_const(
-        structure, replace(inst, threshold=threshold or inst.threshold))
+        Plan(structure), replace(inst, threshold=threshold or inst.threshold))
 
 
-def _solve_const(structure: ValuedStructure, inst: Instance) -> SolveOutcome:
+def _solve_const(plan: Plan, inst: Instance) -> SolveOutcome:
     w = bottom_order(len(inst.variables))
-    cost = evaluate(structure, inst, w)
+    cost = evaluate(plan.structure, inst, w)
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), CONST_CASE)
 
 
@@ -369,12 +450,11 @@ def solve_equality_inj(structure: ValuedStructure, inst: Instance,
             raise PreconditionError(
                 f"binary injection does not improve {rel.name!r}")
     return _solve_equality_inj(
-        structure, replace(inst, threshold=threshold or inst.threshold))
+        Plan(structure), replace(inst, threshold=threshold or inst.threshold))
 
 
-def _solve_equality_inj(structure: ValuedStructure,
-                        inst: Instance) -> SolveOutcome:
-    atoms = resolve_atoms(structure, inst)
+def _solve_equality_inj(plan: Plan, inst: Instance) -> SolveOutcome:
+    atoms = resolve_atoms(plan.structure, inst)
     uf = _UnionFind(inst.variables)
 
     changed = True
@@ -389,7 +469,7 @@ def _solve_equality_inj(structure: ValuedStructure,
                                         EQ_INJ_CASE)
                 continue
             consistent = [
-                w for w, c in rel.table.items() if c.is_finite and all(
+                w for w in plan.feasibility(rel).zeros() if all(
                     (cargs[p] != cargs[q]) or (w.ranks[p] == w.ranks[q])
                     for p in range(rel.arity) for q in range(p + 1, rel.arity))
             ]
@@ -413,7 +493,7 @@ def _solve_equality_inj(structure: ValuedStructure,
             reps.append(r)
     rank = {r: i for i, r in enumerate(reps)}
     w = WeakOrder(tuple(rank[uf.find(v)] for v in inst.variables))
-    cost = evaluate(structure, inst, w)
+    cost = evaluate(plan.structure, inst, w)
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), EQ_INJ_CASE)
 
 
@@ -429,12 +509,6 @@ def _pick_backend(witness: Optional[CanonicalOp]):
 
         return run
     return solve_crisp_complete
-
-
-def _feas_instance(atoms, variables) -> CrispInstance:
-    return CrispInstance(
-        tuple(variables),
-        tuple((feas(rel), args) for rel, args in atoms))
 
 
 def solve_lex(structure: ValuedStructure, inst: Instance,
@@ -459,20 +533,21 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
             raise PreconditionError(
                 "no catalog operation preserves the derived crisp structure")
     return _solve_lex(
-        structure, replace(inst, threshold=threshold or inst.threshold),
+        Plan(structure), replace(inst, threshold=threshold or inst.threshold),
         witness)
 
 
-def _solve_lex(structure: ValuedStructure, inst: Instance,
+def _solve_lex(plan: Plan, inst: Instance,
                witness: CanonicalOp) -> SolveOutcome:
-    atoms = resolve_atoms(structure, inst)
+    atoms = resolve_atoms(plan.structure, inst)
     backend = _pick_backend(witness)
 
-    feas_inst = _feas_instance(atoms, inst.variables)
-    if not backend(feas_inst).satisfiable:
+    feas_inst = plan.feas_instance(atoms, inst.variables)
+    base = backend(feas_inst)
+    if not base.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold), LEX_CASE)
 
-    forced = forced_equalities(feas_inst)
+    forced = forced_equalities(feas_inst, witness=base.witness)
     uf = _UnionFind(inst.variables)
     for x, y in forced:
         uf.union(x, y)
@@ -490,27 +565,11 @@ def _solve_lex(structure: ValuedStructure, inst: Instance,
         for a in cargs:
             if a not in distinct:
                 distinct.append(a)
-        blocks = [[p + 1 for p, a in enumerate(cargs) if a == d]
-                  for d in distinct]
-        sub = minor(rel, blocks)
-        inj_vals = {sub.table[w] for w in enumerate_weak_orders(sub.arity)
-                    if w.is_injective() and sub.table[w].is_finite}
-        if len(inj_vals) > 1:
-            raise InvariantViolation(
-                f"finite injective entries of {sub.name!r} disagree; "
-                "lex improvement cannot hold")
-        if not inj_vals:
-            raise InvariantViolation(
-                f"{sub.name!r} has no finite injective entry after forced "
-                "equalities; lex improvement cannot hold")
-        m_j = inj_vals.pop()
-        finite = [c for c in sub.table.values() if c.is_finite]
-        if min(finite) != m_j:
-            raise InvariantViolation(
-                f"{sub.name!r} undercuts its injective value; "
-                "lex improvement cannot hold")
+        blocks = tuple(tuple(p + 1 for p, a in enumerate(cargs) if a == d)
+                       for d in distinct)
+        m_j, optimum = plan.lex_minor(rel, blocks)
         total = total + m_j
-        crisp_atoms.append((opt(sub), tuple(distinct)))
+        crisp_atoms.append((optimum, tuple(distinct)))
 
     psi = CrispInstance(tuple(reps), tuple(crisp_atoms))
     res = backend(psi)
@@ -535,11 +594,15 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the feasibility structure")
-    inst = replace(inst, threshold=threshold or inst.threshold)
-    atoms = resolve_atoms(structure, inst)
-    backend = _pick_backend(witness)
+    return _solve_essentially_crisp(
+        Plan(structure), replace(inst, threshold=threshold or inst.threshold),
+        witness)
 
-    res = backend(_feas_instance(atoms, inst.variables))
+
+def _solve_essentially_crisp(plan: Plan, inst: Instance,
+                             witness: CanonicalOp) -> SolveOutcome:
+    atoms = resolve_atoms(plan.structure, inst)
+    res = _pick_backend(witness)(plan.feas_instance(atoms, inst.variables))
     if not res.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold),
                             ESS_CRISP_CASE)
@@ -553,6 +616,46 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
 _FALLBACK_NOTE = ("template classified NP-complete; exact answer computed "
                   "by exponential {}")
 
+#: Plans :func:`solve_dispatch` keeps; the least recently used goes first.
+PLAN_CACHE_SIZE = 32
+
+_PLANS: OrderedDict[tuple, Plan] = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def _content_key(structure: ValuedStructure) -> tuple:
+    """Each relation's name, arity and costs in weak-order order.
+
+    The costs enter as one string of their canonical texts (``inf``,
+    ``3/2``), which stand one to one for their values and contain no
+    space.  Unlike ``Fraction`` values, a string hashes and compares in C.
+    """
+    return tuple(
+        (rel.name, rel.arity,
+         " ".join([str(rel.table[w])
+                   for w in enumerate_weak_orders(rel.arity)]))
+        for rel in structure)
+
+
+def _plan_for(structure: ValuedStructure) -> Plan:
+    """The cached plan of the structure's content; classifies on a miss."""
+    key = _content_key(structure)
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            return plan
+    if structure.equality_invariant:
+        verdict = classify_equality(structure)
+    else:
+        verdict = classify_temporal(structure)
+    plan = Plan(structure, verdict)
+    with _PLANS_LOCK:
+        _PLANS[key] = plan
+        if len(_PLANS) > PLAN_CACHE_SIZE:
+            _PLANS.popitem(last=False)
+    return plan
+
 
 def solve_dispatch(structure: ValuedStructure, inst: Instance,
                    threshold: Optional[Cost] = None
@@ -560,35 +663,34 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
     """Classify, then route to the matching solver.
 
     Equality-invariant structures go through the equality classification
-    so both code paths stay exercised.  The verdict's tests are exactly the
-    preconditions of the constant, injection and lex solvers, so their
-    bodies run without testing them again.  Hard templates fall back to an
-    exact exponential method, with an explicit warning in the outcome:
-    the layer dynamic program when every atom uses at most two distinct
-    variables, the oracle otherwise.
+    so both code paths stay exercised.  The verdict and the derived crisp
+    data come from the structure's :class:`Plan`, built on the first solve
+    of its content and cached for up to ``PLAN_CACHE_SIZE`` structures.
+    The verdict's tests are exactly the preconditions of the tractable
+    solvers, so their bodies run without testing them again.  Hard
+    templates fall back to an exact exponential method, with an explicit
+    warning in the outcome: the layer dynamic program when every atom uses
+    at most two distinct variables, the oracle otherwise.
     """
-    if structure.equality_invariant:
-        verdict = classify_equality(structure)
-    else:
-        verdict = classify_temporal(structure)
+    plan = _plan_for(structure)
+    verdict = plan.verdict
     inst = replace(inst, threshold=threshold or inst.threshold)
 
     if verdict.case in (CONST_CASE, EQ_CONST_CASE):
-        out = replace(_solve_const(structure, inst), method=verdict.case)
+        out = replace(_solve_const(plan, inst), method=verdict.case)
     elif verdict.case == EQ_INJ_CASE:
-        out = _solve_equality_inj(structure, inst)
+        out = _solve_equality_inj(plan, inst)
     elif verdict.case == LEX_CASE:
-        out = _solve_lex(structure, inst, verdict.witness)
+        out = _solve_lex(plan, inst, verdict.witness)
     elif verdict.case == ESS_CRISP_CASE:
-        out = solve_essentially_crisp(structure, inst,
-                                      witness=verdict.witness)
+        out = _solve_essentially_crisp(plan, inst, verdict.witness)
     else:
         assert verdict.case in (HARD_CASE, EQ_HARD_CASE)
         if all(len(set(args)) <= 2 for _, args in inst.atoms):
-            out = solve_exact_layers(structure, inst)
+            out = solve_exact_layers(plan.structure, inst)
             how = "dynamic programming over layers"
         else:
-            out = solve_oracle(structure, inst)
+            out = solve_oracle(plan.structure, inst)
             how = "enumeration of weak orders"
         out = replace(out, method="oracleFallback",
                       note=_FALLBACK_NOTE.format(how))

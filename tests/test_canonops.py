@@ -21,7 +21,7 @@ from tvcsp import (
     relation_from_fn,
     reverse_relation,
 )
-from tvcsp.canonops import DUAL_BASE, essentially_crisp
+from tvcsp.canonops import DUAL_BASE
 from tvcsp.relations import ValuedStructure
 
 import randgen as rg
@@ -222,9 +222,9 @@ def test_lex_improvement_pins_injective_value():
 
 
 def test_essentially_crisp():
-    assert essentially_crisp(ValuedStructure([named_relation("ltInf")]))
-    assert not essentially_crisp(ValuedStructure([named_relation("lt01")]))
-    assert not essentially_crisp(ValuedStructure([rel_abg(1, 0, t.INF)]))
+    assert ValuedStructure([named_relation("ltInf")]).essentially_crisp
+    assert not ValuedStructure([named_relation("lt01")]).essentially_crisp
+    assert not ValuedStructure([rel_abg(1, 0, t.INF)]).essentially_crisp
 
 
 def test_improvement_invariant_under_shift_and_scale():
@@ -249,6 +249,6 @@ def test_essentially_crisp_matches_projection_improvement():
         rels = [rg.rand_relation(rng, f"R{j}", rng.randint(1, 3))
                 for j in range(rng.randint(1, 3))]
         s = ValuedStructure(rels)
-        lhs = essentially_crisp(s)
+        lhs = s.essentially_crisp
         rhs = all(improves(proj, r).ok for r in s)
         assert lhs == rhs

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -33,6 +34,18 @@ def test_instance_validation():
         CrispInstance(("x", "y"), ((LT, ("x",)),))
     with pytest.raises(ValueError):
         CrispInstance(("x",), (), frozenset({("x", "x")}))
+
+
+def test_with_disequality_checks_the_new_pair():
+    ci = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")),),
+                       frozenset({("y", "z")}))
+    for x, y in (("x", "x"), ("x", "w"), ("w", "y")):
+        with pytest.raises(ValueError):
+            ci.with_disequality(x, y)
+    probe = ci.with_disequality("x", "z")
+    assert probe.disequalities == {("y", "z"), ("x", "z")}
+    assert (probe.variables, probe.atoms) == (ci.variables, ci.atoms)
+    assert ci.disequalities == {("y", "z")}
 
 
 def test_antisymmetry_unsat():
@@ -121,6 +134,20 @@ def _satisfying_orders(ci):
         if ok:
             out.append(w)
     return out
+
+
+def test_complete_search_leaves_no_reference_cycle():
+    # garbage in a cycle waits for the cyclic collector and inflates the
+    # peak memory of a long run of solves
+    ci = CrispInstance(("x", "y", "z"),
+                       ((LT, ("x", "y")), (NEQ, ("y", "z"))))
+    gc.collect()
+    gc.disable()
+    try:
+        assert solve_crisp_complete(ci).satisfiable
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_complete_cap():
@@ -270,6 +297,12 @@ def test_forced_equalities_match_all_pairs_reference(monkeypatch):
         assert got == want, ci
         n = len(ci.variables)
         assert len(calls) <= 1 + n * (n - 1) // 2
+        if n <= 4:
+            # any solution may seed the search in place of the base solve
+            for w in _satisfying_orders(ci):
+                calls.clear()
+                assert forced_equalities(ci, witness=w) == want, (ci, w)
+                assert len(calls) <= n * (n - 1) // 2
         checked += 1
         with_forced += bool(want)
     assert with_forced >= 50

@@ -10,10 +10,8 @@ from tvcsp import (
     WeakOrder,
     canonical_weak_order,
     enumerate_weak_orders,
-    induced_order_type,
     joint_configs,
     ordered_bell,
-    pair_classes,
 )
 from tvcsp.orders import bottom_order, level_merges, set_partitions
 
@@ -80,51 +78,8 @@ def test_cap_error_names_cap():
     assert enumerate_weak_orders(7, cap=7)  # explicit raise of the cap
 
 
-@pytest.mark.parametrize("assignment,args,expected", [
-    ({"x": 0, "y": 1}, ("x", "y", "x"), (0, 1, 0)),
-    ({"x": 2}, ("x", "x"), (0, 0)),
-    ({"x": 1, "y": 0, "z": 1}, ("y", "x", "z"), (0, 1, 1)),
-])
-def test_induced_order_type(assignment, args, expected):
-    assert induced_order_type(assignment, args).ranks == expected
-
-
-def test_induced_order_type_unassigned():
-    with pytest.raises(KeyError):
-        induced_order_type({"x": 0}, ("x", "y"))
-
-
-def test_pair_classes_examples():
-    pc = pair_classes(WeakOrder((0, 0)))
-    assert (1, 2) in pc.eq and not pc.lt
-    pc = pair_classes(WeakOrder((0, 1)))
-    assert pc.lt == {(1, 2)}
-    pc = pair_classes(WeakOrder((1, 0, 1)))
-    assert (1, 3) in pc.eq
-    assert pc.lt == {(2, 1), (2, 3)}
-
-
 small_orders = st.integers(1, 4).flatmap(
     lambda k: st.sampled_from(enumerate_weak_orders(k)))
-
-
-@given(small_orders)
-def test_pair_classes_strict_weak_order(w):
-    pc = pair_classes(w)
-    k = w.arity
-    all_pairs = {(p + 1, q + 1) for p in range(k) for q in range(k)}
-    assert pc.eq | pc.neq == all_pairs
-    assert pc.eq & pc.neq == set()
-    assert pc.lt <= pc.neq
-    for p, q in pc.lt:
-        assert (q, p) not in pc.lt
-        for r, s in pc.lt:
-            if q == r:
-                assert (p, s) in pc.lt
-    # incomparability of lt coincides with eq
-    for p, q in all_pairs:
-        incomparable = (p, q) not in pc.lt and (q, p) not in pc.lt
-        assert incomparable == ((p, q) in pc.eq)
 
 
 @given(small_orders)

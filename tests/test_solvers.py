@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -25,7 +28,7 @@ from tvcsp import (
     solve_lex,
     solve_oracle,
 )
-from tvcsp import config, orders, solvers
+from tvcsp import config, cspengine, files, orders, solvers
 
 import randgen as rg
 
@@ -572,3 +575,202 @@ def test_dispatch_fas_enumerates_no_weak_orders_on_all_variables(monkeypatch):
     assert out.optimal_cost == Cost(1)
     assert evaluate(S_LT, inst, out.argmin) == Cost(1)
     assert n not in sizes
+
+
+# ---------------------------------------------------------------------------
+# lex feasibility solved once
+# ---------------------------------------------------------------------------
+
+def test_lex_solves_the_feasibility_instance_once(monkeypatch):
+    # the backend's solution seeds forced_equalities, so the feasibility
+    # instance is not solved again as its base solve
+    s = ValuedStructure([named_relation("neq01"), named_relation("ltInf")])
+    inst = Instance.from_atoms(
+        [("ltInf", ("x", "y")), ("neq01", ("y", "z")), ("neq01", ("z", "z")),
+         ("ltInf", ("w", "y")), ("eq", ("w", "x"))])
+    feas_inst = cspengine.CrispInstance(
+        inst.variables,
+        tuple((t.feas(solvers.atom_relation(s, name)), args)
+              for name, args in inst.atoms))
+    calls = []
+    real = cspengine.solve_crisp_complete
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cspengine, "solve_crisp_complete", counting)
+    monkeypatch.setattr(solvers, "solve_crisp_complete", counting)
+    assert cspengine.forced_equalities(feas_inst) == (("x", "w"),)
+    standalone = len(calls)  # its base solve plus its probes
+    assert standalone > 1
+
+    calls.clear()
+    out, verdict = solve_dispatch(s, inst)
+    assert (verdict.case, verdict.witness.tag) == ("lexCase", "mi")
+    assert out.optimal_cost == Cost(1)
+    # the feasibility run, the same probes and the run on the optimum
+    # relations; a second base solve would make it standalone + 2
+    assert len(calls) == standalone + 1
+    assert calls[0].atoms == feas_inst.atoms
+    assert not calls[0].disequalities
+    assert all(probe.disequalities for probe in calls[1:-1])
+
+
+# ---------------------------------------------------------------------------
+# plan cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cold_plans(monkeypatch):
+    """An empty plan cache for the test, and counters on the classifiers."""
+    monkeypatch.setattr(solvers, "_PLANS", OrderedDict())
+    calls = []
+    for name in ("classify_temporal", "classify_equality"):
+        real = getattr(solvers, name)
+
+        def counting(structure, _real=real, _name=name):
+            calls.append(_name)
+            return _real(structure)
+
+        monkeypatch.setattr(solvers, name, counting)
+    return calls
+
+
+R_TEXT = """structure s
+relation {name} arity=2 default=0
+[0,0] {eq}
+[1,0] 1
+"""
+
+
+def test_plan_shared_by_content_equal_structures(cold_plans):
+    text = R_TEXT.format(name="R", eq=1)
+    first = files.parse_structure(text)
+    second = files.parse_structure(text)
+    assert first is not second
+    inst_text = "instance\natom R x y\natom R y x\n"
+    out1, v1 = solve_dispatch(first, files.parse_instance(inst_text, first))
+    assert cold_plans == ["classify_temporal"]
+    out2, v2 = solve_dispatch(second, files.parse_instance(inst_text, second))
+    assert cold_plans == ["classify_temporal"]
+    assert (repr(out1), repr(v1)) == (repr(out2), repr(v2))
+    assert solvers._plan_for(second) is solvers._plan_for(first)
+    assert solvers._plan_for(second).structure is first
+
+
+def test_plan_keys_on_every_table_entry_and_relation_name(cold_plans):
+    hard = files.parse_structure(R_TEXT.format(name="R", eq=1))
+    const = files.parse_structure(R_TEXT.format(name="R", eq=0))
+    renamed = files.parse_structure(R_TEXT.format(name="Q", eq=1))
+    cases = [(hard, "R", "hardCase", Cost(1)),
+             (const, "R", "constCase", ZERO),
+             (renamed, "Q", "hardCase", Cost(1))]
+    for s, name, case, cost in cases:
+        inst = Instance.from_atoms([(name, ("x", "y")), (name, ("y", "x"))])
+        out, verdict = solve_dispatch(s, inst)
+        assert verdict.case == case
+        assert out.optimal_cost == cost == solve_oracle(s, inst).optimal_cost
+    assert len(cold_plans) == 3
+    assert len({id(solvers._plan_for(s)) for s, *_ in cases}) == 3
+
+
+def _rabg_structures(count):
+    """``count`` structures of one binary relation, no two with the same
+    table."""
+    return [ValuedStructure([t.rel_abg(a, b, 1, name="R")])
+            for a in range(count // 4 + 1) for b in range(4)][:count]
+
+
+def test_plan_cache_evicts_past_its_bound(cold_plans):
+    bound = solvers.PLAN_CACHE_SIZE
+    structures = _rabg_structures(bound + 8)
+    inst = Instance.from_atoms([("R", ("x", "y")), ("R", ("y", "z")),
+                                ("R", ("z", "x"))])
+    first = [repr(solve_dispatch(s, inst)) for s in structures]
+    assert len(cold_plans) == len(structures)
+    assert len(solvers._PLANS) == bound
+    # the oldest plans were dropped; solving them again rebuilds them
+    # and answers as before
+    again = [repr(solve_dispatch(s, inst)) for s in structures]
+    assert again == first
+    assert len(cold_plans) == 2 * len(structures)
+    assert len(solvers._PLANS) == bound
+
+
+def test_plan_cache_reads_the_search_cap_at_every_solve(cold_plans,
+                                                        monkeypatch):
+    cycle = Instance.from_atoms(
+        [("lt01", (f"v{i}", f"v{(i + 1) % 5}")) for i in range(5)])
+    lex = ValuedStructure([named_relation("neq01"), named_relation("ltInf")])
+    chain = Instance.from_atoms(
+        [("ltInf", (f"v{i}", f"v{i + 1}")) for i in range(4)])
+    assert solve_dispatch(S_LT, cycle)[0].optimal_cost == Cost(1)
+    assert solve_dispatch(lex, chain)[0].optimal_cost == ZERO
+    monkeypatch.setenv("TVCSP_SEARCH_CAP", "4")
+    for s, inst in ((S_LT, cycle), (lex, chain)):
+        with pytest.raises(CapacityError) as err:
+            solve_dispatch(s, inst)
+        assert "TVCSP_SEARCH_CAP=4" in str(err.value)
+    assert len(cold_plans) == 2
+
+
+def test_cold_and_warm_plans_give_the_same_answers(cold_plans):
+    rng = random.Random(909)
+    makers = [rg.make_const_structure, rg.make_inj_structure,
+              rg.make_lex_structure, rg.make_esscrisp_structure,
+              rg.make_eqinv_structure]
+    count = 0
+    for i in range(100):
+        if i % 6 == 5:
+            s = ValuedStructure([rg.rand_relation(rng, f"R{j}",
+                                                  rng.randint(1, 3))
+                                 for j in range(rng.randint(1, 2))])
+        else:
+            s = makers[i % 5](rng)
+        insts = [rg.rand_instance(rng, s, max_vars=5, threshold_prob=0.4)
+                 for _ in range(3)]
+        cold = []
+        for inst in insts:
+            solvers._PLANS.clear()
+            cold.append(repr(solve_dispatch(s, inst)))
+        # one plan for all three, made for the first and reused by a copy
+        solvers._PLANS.clear()
+        copy = files.parse_structure(files.serialize_structure(s))
+        warm = [repr(solve_dispatch(c, inst))
+                for c, inst in zip((s, copy, copy), insts)]
+        assert warm == cold, s.relations
+        count += len(insts)
+    assert count == 300
+    assert len(cold_plans) == 400
+
+
+def test_plan_cache_under_concurrent_dispatch(cold_plans):
+    structures = _rabg_structures(solvers.PLAN_CACHE_SIZE + 8)
+    inst = Instance.from_atoms([("R", ("x", "y")), ("R", ("y", "x"))])
+    want = [repr(solve_dispatch(s, inst)) for s in structures]
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in range(3 * len(structures)):
+                j = (offset + 7 * k) % len(structures)
+                if repr(solve_dispatch(structures[j], inst)) != want[j]:
+                    errors.append(j)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(solvers._PLANS) <= solvers.PLAN_CACHE_SIZE
