@@ -46,7 +46,6 @@ from .canonops import (
     OPS,
     apply_op,
     apply_values,
-    get_op,
     improves,
     preserves,
 )

@@ -94,13 +94,6 @@ DUAL_BASE = {
 }
 
 
-def get_op(tag: str) -> CanonicalOp:
-    try:
-        return OPS[tag]
-    except KeyError:
-        raise KeyError(f"unknown canonical operation {tag!r}") from None
-
-
 def _base_keys(tag: str, s: Sequence, t: Sequence, zero) -> list:
     if tag == "min":
         return [a if a < b else b for a, b in zip(s, t)]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -62,8 +61,7 @@ def _cmd_solve(args) -> int:
     if threshold is not None and not threshold.is_finite:
         raise TvcspError("threshold must be finite")
     if args.backend == "oracle":
-        out = solve_oracle(structure,
-                           replace(inst, threshold=threshold or inst.threshold))
+        out = solve_oracle(structure, inst.with_threshold(threshold))
     else:
         out, _ = solve_dispatch(structure, inst, threshold=threshold)
     print(f"optimal: {out.optimal_cost}")

@@ -104,7 +104,6 @@ class Cost:
 
 INF = Cost(None)
 ZERO = Cost(0)
-ONE = Cost(1)
 
 
 def parse_cost(token: str) -> Cost:

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from . import config
 from .errors import CapacityError, PreconditionError, UnsupportedClassError
-from .orders import WeakOrder
+from .orders import WeakOrder, canonical_ranks
 from .relations import ValuedRelation
 
 Atom = tuple[ValuedRelation, tuple[str, ...]]
@@ -262,10 +262,8 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
     witness = WeakOrder(tuple(layer[i] for i in range(n)))
     # the greedy construction is only trusted as far as this check
     for atom in atoms:
-        induced = tuple(witness.ranks[p] for p in atom.positions)
-        lo = sorted(set(induced))
-        normalized = tuple(lo.index(r) for r in induced)
-        if normalized not in set(atom.zeros):
+        if canonical_ranks([layer[p] for p in atom.positions]) \
+                not in atom.zeros:
             raise PreconditionError(
                 "min-layer produced an invalid witness; the instance is "
                 "outside the min-closed class")

@@ -40,11 +40,10 @@ from .errors import ParseError
 from .orders import WeakOrder, enumerate_weak_orders
 from .relations import (
     RESERVED_NAMES,
-    BUILTIN_EMPTY,
-    BUILTIN_EQ,
     Expression,
     ValuedRelation,
     ValuedStructure,
+    atom_relation,
     rel_abg,
 )
 from .solvers import Instance
@@ -192,6 +191,27 @@ def _check_vars(tokens: Sequence[str], lineno: int, line: str) -> None:
             raise ParseError(f"bad variable name {v!r}", lineno, _col(line, v))
 
 
+def _parse_atom(tokens: Sequence[str], lineno: int, line: str,
+                structure: ValuedStructure) -> tuple[str, tuple[str, ...]]:
+    """An ``atom <relation> <var> ...`` line, checked against the
+    structure and the builtins."""
+    if len(tokens) < 3:
+        raise ParseError("expected: atom <relation> <var> ...", lineno)
+    rel_name = tokens[1]
+    args = tuple(tokens[2:])
+    _check_vars(args, lineno, line)
+    try:
+        arity = atom_relation(structure, rel_name).arity
+    except KeyError:
+        raise ParseError(f"unknown relation {rel_name!r}", lineno,
+                         _col(line, rel_name)) from None
+    if len(args) != arity:
+        raise ParseError(
+            f"atom {rel_name!r} expects {arity} arguments, got {len(args)}",
+            lineno)
+    return rel_name, args
+
+
 def parse_instance(text: str, structure: ValuedStructure) -> Instance:
     atoms: list[tuple[str, tuple[str, ...]]] = []
     threshold: Optional[Cost] = None
@@ -217,23 +237,7 @@ def parse_instance(text: str, structure: ValuedStructure) -> Instance:
                 raise ParseError("threshold must be finite", lineno,
                                  _col(line, tokens[1]))
         elif head == "atom":
-            if len(tokens) < 3:
-                raise ParseError("expected: atom <relation> <var> ...", lineno)
-            rel_name = tokens[1]
-            args = tuple(tokens[2:])
-            _check_vars(args, lineno, line)
-            if rel_name in (BUILTIN_EQ, BUILTIN_EMPTY):
-                arity = 2 if rel_name == BUILTIN_EQ else 1
-            elif rel_name in structure:
-                arity = structure.get(rel_name).arity
-            else:
-                raise ParseError(f"unknown relation {rel_name!r}", lineno,
-                                 _col(line, rel_name))
-            if len(args) != arity:
-                raise ParseError(
-                    f"atom {rel_name!r} expects {arity} arguments, "
-                    f"got {len(args)}", lineno)
-            atoms.append((rel_name, args))
+            atoms.append(_parse_atom(tokens, lineno, line, structure))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno,
                              _col(line, head))
@@ -262,16 +266,7 @@ def parse_expression(text: str, structure: ValuedStructure) -> Expression:
             _check_vars(tokens[1:], lineno, line)
             bound.extend(tokens[1:])
         elif head == "atom":
-            if len(tokens) < 3:
-                raise ParseError("expected: atom <relation> <var> ...", lineno)
-            rel_name = tokens[1]
-            if rel_name not in (BUILTIN_EQ, BUILTIN_EMPTY) \
-                    and rel_name not in structure:
-                raise ParseError(f"unknown relation {rel_name!r}", lineno,
-                                 _col(line, rel_name))
-            args = tuple(tokens[2:])
-            _check_vars(args, lineno, line)
-            atoms.append((rel_name, args))
+            atoms.append(_parse_atom(tokens, lineno, line, structure))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno,
                              _col(line, head))

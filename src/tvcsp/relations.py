@@ -6,6 +6,11 @@ orders on ``k`` positions to costs.  This module provides the closure
 operations on such tables (sums of atomic expressions with projection,
 shifting, nonnegative scaling, feasibility, optimum, minors), the derived
 crisp structure used by the classifier, and a catalog of named relations.
+
+It is also the one place where an atom's cost is read: an atom name
+resolves to a relation of the structure or to a builtin, and its cost at
+an assignment is the entry of the canonical rank tuple of its arguments
+in the structure's :attr:`ValuedStructure.scaled` tables.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 import re
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import config
 from .cost import Cost, INF, ZERO, Rational, parse_cost
@@ -47,9 +53,6 @@ class ValuedRelation:
             raise ValueError(
                 f"table of {self.name!r} must cover all {len(orders)} "
                 f"order types of arity {self.arity}")
-
-    def cost(self, w: WeakOrder) -> Cost:
-        return self.table[w]
 
     # The facts below depend on the table alone, which never changes, so
     # each is computed on first use and kept on the relation.
@@ -208,12 +211,22 @@ def minor(rel: ValuedRelation, partition: Iterable[Iterable[int]],
 # Valued structures
 # ---------------------------------------------------------------------------
 
+#: A scaled cost: an integer, or the float infinity for ``∞``.
+Scaled = Union[int, float]
+_SCALED_INF = float("inf")
+
+
+def unscaled(total: Scaled, denom: int) -> Cost:
+    """The cost of a sum of :attr:`ValuedStructure.scaled` entries."""
+    return INF if total == _SCALED_INF else Cost(Fraction(int(total), denom))
+
+
 class ValuedStructure:
     """A named collection of valued relations over Q.
 
     Relations keep their declaration order.  The two flags consumed by the
-    classifier are computed on demand and cached; all tables are immutable,
-    so the cache never goes stale.
+    classifier and the scaled tables are computed on demand and cached; all
+    tables are immutable, so the cache never goes stale.
     """
 
     def __init__(self, relations: Iterable[ValuedRelation], name: str = ""):
@@ -225,8 +238,6 @@ class ValuedStructure:
             if r.name in self._rels:
                 raise ValueError(f"duplicate relation name {r.name!r}")
             self._rels[r.name] = r
-        self._equality_invariant: Optional[bool] = None
-        self._essentially_crisp: Optional[bool] = None
 
     @property
     def relations(self) -> tuple[ValuedRelation, ...]:
@@ -247,22 +258,34 @@ class ValuedStructure:
     def __len__(self) -> int:
         return len(self._rels)
 
-    @property
+    @cached_property
     def equality_invariant(self) -> bool:
-        if self._equality_invariant is None:
-            self._equality_invariant = all(
-                is_equality_invariant(r) for r in self)
-        return self._equality_invariant
+        return all(is_equality_invariant(r) for r in self)
 
-    @property
+    @cached_property
     def essentially_crisp(self) -> bool:
-        if self._essentially_crisp is None:
-            self._essentially_crisp = all(
-                r.is_essentially_crisp() for r in self)
-        return self._essentially_crisp
+        return all(r.is_essentially_crisp() for r in self)
 
-    def is_crisp(self) -> bool:
-        return all(r.is_crisp() for r in self)
+    @cached_property
+    def scaled(self) -> tuple[int, dict[str, dict[tuple[int, ...], Scaled]]]:
+        """Every table, the builtins' included, over one common denominator.
+
+        Returns the denominator and, per relation name, the table keyed by
+        canonical rank tuples.  Finite costs become plain integers and
+        ``∞`` the float infinity, which is exact: finite sums never leave
+        the integers and the infinity is absorbing.  :func:`unscaled` turns
+        a sum back into a cost.
+        """
+        rels = (*self._rels.values(), _EQ_REL, _EMPTY_REL)
+        denom = 1
+        for rel in rels:
+            for c in rel.finite_values():
+                denom = lcm(denom, c.fraction.denominator)
+        return denom, {
+            rel.name: {w.ranks: (int(c.fraction * denom) if c.is_finite
+                                 else _SCALED_INF)
+                       for w, c in rel.table.items()}
+            for rel in rels}
 
 
 def feas_structure(s: ValuedStructure) -> ValuedStructure:
@@ -410,32 +433,59 @@ class Expression:
                     raise ValueError(f"atom uses undeclared variable {a!r}")
 
 
-def _atom_arity(structure: ValuedStructure, rel_name: str) -> int:
-    if rel_name == BUILTIN_EQ:
-        return 2
-    if rel_name == BUILTIN_EMPTY:
-        return 1
-    return structure.get(rel_name).arity
+_EQ_REL = rel_abg(ZERO, INF, INF, name=BUILTIN_EQ)
+_EMPTY_REL = relation_from_fn(BUILTIN_EMPTY, 1, lambda w: INF)
 
 
-def _atom_cost_fn(structure: ValuedStructure,
-                  rel_name: str) -> Callable[[tuple[int, ...]], Cost]:
-    """Cost of one atom as a function of the raw ranks of its arguments."""
-    if rel_name == BUILTIN_EQ:
-        return lambda ranks: ZERO if ranks[0] == ranks[1] else INF
-    if rel_name == BUILTIN_EMPTY:
-        return lambda ranks: INF
-    table = structure.get(rel_name).table
-    memo: dict[tuple[int, ...], Cost] = {}
+def atom_relation(structure: ValuedStructure, name: str) -> ValuedRelation:
+    """Resolve an atom name against the structure or the builtins."""
+    if name == BUILTIN_EQ:
+        return _EQ_REL
+    if name == BUILTIN_EMPTY:
+        return _EMPTY_REL
+    return structure.get(name)
 
-    def lookup(ranks: tuple[int, ...]) -> Cost:
-        c = memo.get(ranks)
-        if c is None:
-            c = table[WeakOrder(canonical_ranks(ranks))]
-            memo[ranks] = c
-        return c
 
-    return lookup
+def resolve_atoms(structure: ValuedStructure, source
+                  ) -> list[tuple[ValuedRelation, tuple[str, ...]]]:
+    """The relation and arguments of each atom of ``source`` (an instance
+    or an expression); :class:`ValueError` on a wrong argument count."""
+    out = []
+    for name, args in source.atoms:
+        rel = atom_relation(structure, name)
+        if len(args) != rel.arity:
+            raise ValueError(
+                f"atom {name!r} expects {rel.arity} arguments, got {len(args)}")
+        out.append((rel, args))
+    return out
+
+
+def weak_order_totals(structure: ValuedStructure, source,
+                      variables: Sequence[str], cap: int
+                      ) -> Iterator[tuple[tuple[int, ...], Scaled]]:
+    """Every weak order on ``variables`` with the scaled sum of the atoms
+    of ``source`` at it, in increasing rank order.
+
+    Enumerates the ordered Bell number of ``len(variables)`` orders, at
+    most ``cap`` positions.  Each atom remembers the entry of every rank
+    tuple it has met, so a canonical form is computed once per tuple.
+    """
+    _, tables = structure.scaled
+    pos = {v: i for i, v in enumerate(variables)}
+    compiled = [(tables[rel.name], tuple(pos[a] for a in args), {})
+                for rel, args in resolve_atoms(structure, source)]
+    for w in enumerate_weak_orders(len(variables), cap=cap):
+        ranks = w.ranks
+        total: Scaled = 0
+        for table, positions, memo in compiled:
+            key = tuple([ranks[p] for p in positions])
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = table[canonical_ranks(key)]
+            total += c
+            if total == _SCALED_INF:
+                break
+        yield ranks, total
 
 
 def eval_expression(structure: ValuedStructure, expr: Expression,
@@ -449,33 +499,19 @@ def eval_expression(structure: ValuedStructure, expr: Expression,
     extension realizable, so the minimum over this finite set is the exact
     projection.
     """
-    variables = list(expr.free_vars) + list(expr.bound_vars)
+    variables = expr.free_vars + expr.bound_vars
     n = len(variables)
     limit = config.arity_cap() if cap is None else cap
     if n > limit:
         raise CapacityError("expression evaluation", n,
                             config.ARITY_CAP_NAME, limit)
-    pos = {v: i for i, v in enumerate(variables)}
-    atoms = []
-    for rel_name, args in expr.atoms:
-        want = _atom_arity(structure, rel_name)
-        if len(args) != want:
-            raise ValueError(
-                f"atom {rel_name!r} expects {want} arguments, got {len(args)}")
-        atoms.append((_atom_cost_fn(structure, rel_name),
-                      tuple(pos[a] for a in args)))
-
     nfree = len(expr.free_vars)
-    best: dict[tuple[int, ...], Cost] = {}
-    for w in enumerate_weak_orders(n, cap=limit):
-        total = ZERO
-        for fn, positions in atoms:
-            total = total + fn(tuple(w.ranks[p] for p in positions))
-            if total == INF:
-                break
-        marg = canonical_ranks(w.ranks[:nfree])
+    best: dict[tuple[int, ...], Scaled] = {}
+    for ranks, total in weak_order_totals(structure, expr, variables, limit):
+        marg = canonical_ranks(ranks[:nfree])
         cur = best.get(marg)
         if cur is None or total < cur:
             best[marg] = total
-    return ValuedRelation(name, nfree,
-                          {WeakOrder(r): c for r, c in best.items()})
+    denom, _ = structure.scaled
+    return ValuedRelation(name, nfree, {WeakOrder(r): unscaled(c, denom)
+                                        for r, c in best.items()})

@@ -20,9 +20,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from . import config
 from .classify import (
@@ -49,22 +48,21 @@ from .cspengine import (
 )
 from .errors import CapacityError, InvariantViolation, PreconditionError
 from .orders import WeakOrder, bottom_order, canonical_ranks, enumerate_weak_orders
+# atom_relation and resolve_atoms are also read as solvers.<name>
 from .relations import (
-    BUILTIN_EMPTY,
-    BUILTIN_EQ,
+    Scaled,
     ValuedRelation,
     ValuedStructure,
+    atom_relation,
     build_hat,
     feas,
     feas_structure,
     minor,
     opt,
-    rel_abg,
-    relation_from_fn,
+    resolve_atoms,
+    unscaled,
+    weak_order_totals,
 )
-
-_EQ_REL = rel_abg(ZERO, INF, INF, name=BUILTIN_EQ)
-_EMPTY_REL = relation_from_fn(BUILTIN_EMPTY, 1, lambda w: INF)
 
 
 @dataclass(frozen=True)
@@ -108,6 +106,11 @@ class Instance:
         return Instance(tuple(seen),
                         tuple([(n, tuple(a)) for n, a in atoms]), threshold)
 
+    def with_threshold(self, threshold: Optional[Cost]) -> "Instance":
+        """This instance deciding against ``threshold``; the instance
+        itself, not a copy, when ``threshold`` is ``None``."""
+        return self if threshold is None else replace(self, threshold=threshold)
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -124,113 +127,41 @@ class SolveOutcome:
         return f"cost={self.optimal_cost} argmin={arg} [{self.method}]{dec}"
 
 
-def atom_relation(structure: ValuedStructure, name: str) -> ValuedRelation:
-    """Resolve an atom name against the structure or the builtins."""
-    if name == BUILTIN_EQ:
-        return _EQ_REL
-    if name == BUILTIN_EMPTY:
-        return _EMPTY_REL
-    return structure.get(name)
-
-
-def resolve_atoms(structure: ValuedStructure, inst: Instance
-                  ) -> list[tuple[ValuedRelation, tuple[str, ...]]]:
-    out = []
-    for name, args in inst.atoms:
-        rel = atom_relation(structure, name)
-        if len(args) != rel.arity:
-            raise ValueError(
-                f"atom {name!r} expects {rel.arity} arguments, got {len(args)}")
-        out.append((rel, args))
-    return out
-
-
 def evaluate(structure: ValuedStructure, inst: Instance,
              w: WeakOrder) -> Cost:
     """Cost of the instance at an assignment with order type ``w``."""
     if w.arity != len(inst.variables):
         raise ValueError("witness arity does not match the variable count")
-    pos = {v: i for i, v in enumerate(inst.variables)}
-    total = ZERO
+    denom, tables = structure.scaled
+    rank = dict(zip(inst.variables, w.ranks))
+    total: Scaled = 0
     for rel, args in resolve_atoms(structure, inst):
-        ranks = tuple(w.ranks[pos[a]] for a in args)
-        total = total + rel.table[WeakOrder(canonical_ranks(ranks))]
-        if total == INF:
-            return INF
-    return total
+        total += tables[rel.name][canonical_ranks([rank[a] for a in args])]
+    return unscaled(total, denom)
 
 
 def _decide(cost: Cost, threshold: Optional[Cost]) -> Optional[bool]:
     return None if threshold is None else cost <= threshold
 
 
-def _scaled_tables(rels: Sequence[ValuedRelation]
-                   ) -> tuple[int, list[dict[WeakOrder, Union[int, float]]]]:
-    """The tables of ``rels`` rescaled to one common denominator.
-
-    Finite costs become plain integers and ``∞`` the float infinity, which
-    is exact: finite sums never leave the integers and the infinity is
-    absorbing.  Returns the denominator and one scaled table per relation.
-    """
-    denom = 1
-    for rel in rels:
-        for c in rel.table.values():
-            if c.is_finite:
-                denom = lcm(denom, c.fraction.denominator)
-    inf = float("inf")
-    return denom, [
-        {w: (inf if not c.is_finite else int(c.fraction * denom))
-         for w, c in rel.table.items()}
-        for rel in rels]
-
-
-def _unscaled(total: Union[int, float], denom: int) -> Cost:
-    return INF if total == float("inf") else Cost(Fraction(int(total), denom))
-
-
 def solve_oracle(structure: ValuedStructure, inst: Instance,
                  cap: Optional[int] = None) -> SolveOutcome:
     """Exact minimum by enumeration of all weak orders on the variables.
 
-    The inner loop runs on the integer tables of :func:`_scaled_tables`.
-    The reported argmin is the least weak order attaining the minimum.
+    The sums come from :func:`relations.weak_order_totals`, which yields
+    the weak orders in increasing rank order, so the first minimum is the
+    least weak order attaining it: that is the reported argmin.
     """
     n = len(inst.variables)
     limit = config.oracle_cap() if cap is None else cap
     if n > limit:
         raise CapacityError("oracle enumeration", n,
                             config.SEARCH_CAP_NAME, limit)
-    atoms = resolve_atoms(structure, inst)
-    pos = {v: i for i, v in enumerate(inst.variables)}
-    denom, tables = _scaled_tables([rel for rel, _ in atoms])
-
-    compiled = []
-    for scaled, (_, args) in zip(tables, atoms):
-        table: dict[tuple[int, ...], Union[int, float]] = {}
-        compiled.append((scaled, tuple(pos[a] for a in args), table))
-
-    inf = float("inf")
-    best: Union[int, float, None] = None
-    best_ranks: Optional[tuple[int, ...]] = None
-    for w in enumerate_weak_orders(n, cap=limit):
-        ranks = w.ranks
-        total: Union[int, float] = 0
-        for scaled, positions, memo in compiled:
-            key = tuple(ranks[p] for p in positions)
-            c = memo.get(key)
-            if c is None:
-                c = scaled[WeakOrder(canonical_ranks(key))]
-                memo[key] = c
-            total += c
-            if total == inf:
-                break
-        if best is None or total < best:
-            best = total
-            best_ranks = ranks
-
-    assert best is not None and best_ranks is not None
-    cost = _unscaled(best, denom)
-    return SolveOutcome(cost, WeakOrder(best_ranks),
+    ranks, best = min(
+        weak_order_totals(structure, inst, inst.variables, limit),
+        key=itemgetter(1))
+    cost = unscaled(best, structure.scaled[0])
+    return SolveOutcome(cost, WeakOrder(ranks),
                         _decide(cost, inst.threshold), "oracle")
 
 
@@ -257,26 +188,26 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
     if n > limit:
         raise CapacityError("layer dynamic program", n,
                             config.SEARCH_CAP_NAME, limit)
-    atoms = resolve_atoms(structure, inst)
     pos = {v: i for i, v in enumerate(inst.variables)}
-    denom, tables = _scaled_tables([rel for rel, _ in atoms])
+    denom, tables = structure.scaled
 
     # below[x][y]: cost of the atoms on {x, y} when x < y; equal[x][y]
     # (x < y as indices): their cost when x = y
     below = [[0] * n for _ in range(n)]
     equal = [[0] * n for _ in range(n)]
-    constant: Union[int, float] = 0
-    for scaled, (rel, args) in zip(tables, atoms):
+    constant: Scaled = 0
+    for rel, args in resolve_atoms(structure, inst):
+        scaled = tables[rel.name]
         distinct = list(dict.fromkeys(args))
         if len(distinct) == 1:
-            constant += scaled[bottom_order(rel.arity)]
+            constant += scaled[(0,) * rel.arity]
             continue
         if len(distinct) > 2:
             raise PreconditionError(
                 f"atom {rel.name!r} uses more than two distinct variables")
         a, b = distinct
-        lt, eq, gt = (scaled[WeakOrder(tuple(ra if v == a else rb
-                                             for v in args))]
+        # both rank values occur whenever ra != rb: the keys are canonical
+        lt, eq, gt = (scaled[tuple([ra if v == a else rb for v in args])]
                       for ra, rb in ((0, 1), (0, 0), (1, 0)))
         x, y = pos[a], pos[b]
         below[x][y] += lt
@@ -297,7 +228,7 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
     base = n + 1
     digits = [sum(base ** (n - 1 - i) for i in ms) for ms in members]
 
-    best: list[tuple[Union[int, float], int]] = [(0, 0)] * (full + 1)
+    best: list[tuple[Scaled, int]] = [(0, 0)] * (full + 1)
     for placed in range(full - 1, -1, -1):
         rest = full ^ placed
         choice = None
@@ -315,7 +246,7 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
 
     total, vec = best[0]
     ranks = tuple(vec // base ** (n - 1 - i) % base for i in range(n))
-    cost = _unscaled(constant + total, denom)
+    cost = unscaled(constant + total, denom)
     return SolveOutcome(cost, WeakOrder(ranks),
                         _decide(cost, inst.threshold), "exactLayers")
 
@@ -330,7 +261,8 @@ class Plan:
     needs it and then kept: its feasibility relation and, for each minor
     the lex solver meets, the minor's injective value and optimum
     relation.  The zero sets, crispness and reversed tables the crisp
-    backends read are kept on those relations themselves.
+    backends read are kept on those relations themselves, and the scaled
+    cost tables that evaluation and the hard routes read on ``structure``.
 
     A plan holds data only: no solver functions and no caps, which are
     read at every solve.
@@ -397,8 +329,7 @@ def solve_const(structure: ValuedStructure, inst: Instance,
         if not improves(const0, rel):
             raise PreconditionError(
                 f"constant operation does not improve {rel.name!r}")
-    return _solve_const(
-        Plan(structure), replace(inst, threshold=threshold or inst.threshold))
+    return _solve_const(Plan(structure), inst.with_threshold(threshold))
 
 
 def _solve_const(plan: Plan, inst: Instance) -> SolveOutcome:
@@ -429,6 +360,11 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
+    def roots(self) -> list[str]:
+        """One root per class, in the declaration order of the classes'
+        first members."""
+        return list(dict.fromkeys([self.find(v) for v in self.index]))
+
 
 def solve_equality_inj(structure: ValuedStructure, inst: Instance,
                        threshold: Optional[Cost] = None) -> SolveOutcome:
@@ -449,8 +385,8 @@ def solve_equality_inj(structure: ValuedStructure, inst: Instance,
         if not improves(inj, rel):
             raise PreconditionError(
                 f"binary injection does not improve {rel.name!r}")
-    return _solve_equality_inj(
-        Plan(structure), replace(inst, threshold=threshold or inst.threshold))
+    return _solve_equality_inj(Plan(structure),
+                               inst.with_threshold(threshold))
 
 
 def _solve_equality_inj(plan: Plan, inst: Instance) -> SolveOutcome:
@@ -486,12 +422,7 @@ def _solve_equality_inj(plan: Plan, inst: Instance) -> SolveOutcome:
                     if all(w.ranks[p] == w.ranks[q] for w in consistent):
                         changed |= uf.union(cargs[p], cargs[q])
 
-    reps = []
-    for v in inst.variables:
-        r = uf.find(v)
-        if r not in reps:
-            reps.append(r)
-    rank = {r: i for i, r in enumerate(reps)}
+    rank = {r: i for i, r in enumerate(uf.roots())}
     w = WeakOrder(tuple(rank[uf.find(v)] for v in inst.variables))
     cost = evaluate(plan.structure, inst, w)
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), EQ_INJ_CASE)
@@ -532,9 +463,8 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the derived crisp structure")
-    return _solve_lex(
-        Plan(structure), replace(inst, threshold=threshold or inst.threshold),
-        witness)
+    return _solve_lex(Plan(structure), inst.with_threshold(threshold),
+                      witness)
 
 
 def _solve_lex(plan: Plan, inst: Instance,
@@ -551,11 +481,7 @@ def _solve_lex(plan: Plan, inst: Instance,
     uf = _UnionFind(inst.variables)
     for x, y in forced:
         uf.union(x, y)
-    reps = []
-    for v in inst.variables:
-        r = uf.find(v)
-        if r not in reps:
-            reps.append(r)
+    reps = uf.roots()
 
     total = ZERO
     crisp_atoms = []
@@ -594,9 +520,8 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the feasibility structure")
-    return _solve_essentially_crisp(
-        Plan(structure), replace(inst, threshold=threshold or inst.threshold),
-        witness)
+    return _solve_essentially_crisp(Plan(structure),
+                                    inst.with_threshold(threshold), witness)
 
 
 def _solve_essentially_crisp(plan: Plan, inst: Instance,
@@ -674,7 +599,7 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
     """
     plan = _plan_for(structure)
     verdict = plan.verdict
-    inst = replace(inst, threshold=threshold or inst.threshold)
+    inst = inst.with_threshold(threshold)
 
     if verdict.case in (CONST_CASE, EQ_CONST_CASE):
         out = replace(_solve_const(plan, inst), method=verdict.case)

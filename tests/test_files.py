@@ -127,6 +127,9 @@ def test_parse_expression_errors():
         parse_expression("expression\nbound z\n", s)  # no free variables
     with pytest.raises(ParseError):
         parse_expression("expression\nfree x\natom zz x\n", s)
+    with pytest.raises(ParseError) as err:
+        parse_expression("expression\nfree x y\natom neq01 x\n", s)
+    assert err.value.line == 3
 
 
 CORPUS_PAIRINGS = {"fas-cycle": "fas", "merge-cost": "merge-cost",

@@ -28,6 +28,7 @@ from tvcsp import (
     scale,
     shift,
 )
+from tvcsp.relations import unscaled
 
 import randgen as rg
 
@@ -353,6 +354,27 @@ def test_expression_validation():
         eval_expression(structure, Expression(("x",), (), (("lt01", ("x",)),)))
     with pytest.raises(KeyError):
         eval_expression(structure, Expression(("x",), (), (("zz", ("x",)),)))
+
+
+def test_scaled_tables_match_the_cost_tables():
+    rng = random.Random(71)
+    for trial in range(40):
+        rels = [rg.rand_relation(rng, f"R{i}", rng.randint(1, 3))
+                for i in range(rng.randint(1, 3))]
+        rels.append(rel_abg(Fraction(5, 7), 0, INF, name="S"))
+        structure = ValuedStructure(rels)
+        denom, tables = structure.scaled
+        assert structure.scaled is structure.scaled
+        assert denom % 7 == 0
+        assert set(tables) == {r.name for r in rels} | {"eq", "empty"}
+        for rel in rels:
+            assert set(tables[rel.name]) == {w.ranks for w in rel.table}
+            for w, c in rel.table.items():
+                assert unscaled(tables[rel.name][w.ranks], denom) == c
+        assert {r: unscaled(c, denom) for r, c in tables["eq"].items()} \
+            == {(0, 0): ZERO, (0, 1): INF, (1, 0): INF}
+        assert {r: unscaled(c, denom) for r, c in tables["empty"].items()} \
+            == {(0,): INF}
 
 
 def test_eval_expression_against_brute_force():

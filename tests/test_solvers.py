@@ -361,6 +361,40 @@ def test_dispatch_does_not_retest_solver_preconditions(monkeypatch):
         calls.clear()
 
 
+def test_dispatch_without_threshold_builds_no_instance(monkeypatch):
+    # an instance is validated once, when it is built; a solve without a
+    # threshold of its own hands the instance on as it is
+    cases = [
+        ValuedStructure([named_relation("leq01")]),
+        ValuedStructure([named_relation("neq01")]),
+        ValuedStructure([named_relation("neq01"), named_relation("ltInf")]),
+        ValuedStructure([named_relation("ltInf")]),
+        ValuedStructure([named_relation("lt01")]),
+        ValuedStructure([named_relation("Betw")]),
+    ]
+    built = []
+    real = Instance.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", counting)
+    for s in cases:
+        rel = next(iter(s))
+        args = ("x", "y", "z")[:rel.arity]
+        inst = Instance.from_atoms([(rel.name, args)])
+        built.clear()
+        solve_dispatch(s, inst)
+        assert built == []
+        assert inst.with_threshold(None) is inst
+        out, _ = solve_dispatch(s, inst, threshold=Cost(1))
+        assert len(built) == 1 and built[0].threshold == Cost(1)
+        assert out.decision == (out.optimal_cost <= Cost(1))
+        with pytest.raises(ValueError):
+            solve_dispatch(s, inst, threshold=INF)
+
+
 def test_dispatch_agrees_with_oracle_on_arbitrary_structures():
     rng = random.Random(505)
     makers = [rg.make_const_structure, rg.make_inj_structure,
