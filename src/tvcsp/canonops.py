@@ -21,10 +21,11 @@ the same code path evaluates both rank vectors and concrete rationals;
 tests exploit this to verify representative independence.
 
 The exhaustive testers enumerate joint configurations per pair of marginal
-order types, visiting only pairs with a finite right-hand side for
-improvement.  They carry their own arity cap (default
-``config.DEFAULT_JOINT_ARITY_CAP``): a relation of arity ``k`` drives an
-enumeration over ``2k`` or ``2k + 1`` positions.
+order types, visiting only pairs with a finite right-hand side.  A relation
+of arity ``k`` drives an enumeration over ``2k`` or ``2k + 1`` positions,
+so they refuse arities above ``config.DEFAULT_JOINT_ARITY_CAP``.  A result
+depends on the operation and the table alone, so each is computed once and
+kept on the relation (:attr:`ValuedRelation.test_results`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import config
-from .cost import Cost, ZERO
+from .cost import Cost
 from .errors import CapacityError, PreconditionError
 from .orders import (
     JointConfig,
@@ -196,8 +197,8 @@ class CheckResult:
         return self.ok
 
 
-def _check_cap(rel: ValuedRelation, op: CanonicalOp, cap: Optional[int]) -> None:
-    limit = config.joint_arity_cap() if cap is None else cap
+def _check_cap(rel: ValuedRelation, op: CanonicalOp) -> None:
+    limit = config.DEFAULT_JOINT_ARITY_CAP
     if rel.arity > limit:
         raise CapacityError(
             f"joint enumeration for {op.tag} on {rel.name!r}",
@@ -208,27 +209,24 @@ def _diagonal_config(w: WeakOrder) -> JointConfig:
     return JointConfig(w.ranks, w.ranks, None)
 
 
-def _unary_check(op: CanonicalOp, rel: ValuedRelation,
-                 crisp_mode: bool) -> CheckResult:
+def _unary_check(op: CanonicalOp, rel: ValuedRelation) -> CheckResult:
     if op.tag == "identity":
         return CheckResult(True)
     # const0: the image of every tuple is all-equal, so the all-equal entry
-    # must be a global minimum (for crisp tables: nonempty forces it to 0).
+    # must be a global minimum (for crisp tables: nonempty forces it to 0);
+    # no cost exceeds an ∞ bound.
     image = bottom_order(rel.arity)
     img_cost = rel.table[image]
     for w in enumerate_weak_orders(rel.arity):
-        if crisp_mode and rel.table[w] != ZERO:
-            continue
-        bound = ZERO if crisp_mode else rel.table[w]
+        bound = rel.table[w]
         if img_cost > bound:
             return CheckResult(False, Counterexample(
                 w, w, _diagonal_config(w), img_cost, bound))
     return CheckResult(True)
 
 
-def _binary_check(op: CanonicalOp, rel: ValuedRelation, crisp_mode: bool,
-                  cap: Optional[int]) -> CheckResult:
-    _check_cap(rel, op, cap)
+def _binary_check(op: CanonicalOp, rel: ValuedRelation) -> CheckResult:
+    _check_cap(rel, op)
     orders = enumerate_weak_orders(rel.arity)
     for w1 in orders:
         c1 = rel.table[w1]
@@ -238,7 +236,7 @@ def _binary_check(op: CanonicalOp, rel: ValuedRelation, crisp_mode: bool,
             c2 = rel.table[w2]
             if not c2.is_finite:
                 continue
-            bound = ZERO if crisp_mode else c1.half_sum(c2)
+            bound = c1.half_sum(c2)
             for out, witness in _distinct_outputs(op.tag, w1, w2):
                 if rel.table[out] > bound:
                     return CheckResult(False, Counterexample(
@@ -246,24 +244,31 @@ def _binary_check(op: CanonicalOp, rel: ValuedRelation, crisp_mode: bool,
     return CheckResult(True)
 
 
-def preserves(op: CanonicalOp, rel: ValuedRelation,
-              cap: Optional[int] = None) -> CheckResult:
+def _tested(op: CanonicalOp, rel: ValuedRelation) -> CheckResult:
+    """The improvement test of ``op`` on ``rel``, run on first use."""
+    res = rel.test_results.get(op.tag)
+    if res is None:
+        check = _unary_check if op.arity == 1 else _binary_check
+        res = rel.test_results.setdefault(op.tag, check(op, rel))
+    return res
+
+
+def preserves(op: CanonicalOp, rel: ValuedRelation) -> CheckResult:
     """Does the operation map tuples of a crisp relation back into it?
 
     Exhaustive over joint configurations whose marginals are 0-entries; on
-    failure the first counterexample in enumeration order is reported.
+    failure the first counterexample in enumeration order is reported.  On
+    a crisp table every finite bound of the improvement test is 0, so this
+    is :func:`improves` and shares its memo.
     """
     if not rel.is_crisp():
         raise PreconditionError(
             f"preservation is defined for crisp relations; {rel.name!r} "
             "is not crisp (use improves for valued relations)")
-    if op.arity == 1:
-        return _unary_check(op, rel, crisp_mode=True)
-    return _binary_check(op, rel, crisp_mode=True, cap=cap)
+    return _tested(op, rel)
 
 
-def improves(op: CanonicalOp, rel: ValuedRelation,
-             cap: Optional[int] = None) -> CheckResult:
+def improves(op: CanonicalOp, rel: ValuedRelation) -> CheckResult:
     """Is the cost of the componentwise image at most the average input
     cost for every joint configuration?
 
@@ -275,24 +280,20 @@ def improves(op: CanonicalOp, rel: ValuedRelation,
         raise PreconditionError(
             "the improvement test for inj is only canonical on "
             f"equality-invariant relations; {rel.name!r} is not")
-    if op.arity == 1:
-        return _unary_check(op, rel, crisp_mode=False)
-    return _binary_check(op, rel, crisp_mode=False, cap=cap)
+    return _tested(op, rel)
 
 
-def improves_structure(op: CanonicalOp, s: ValuedStructure,
-                       cap: Optional[int] = None) -> CheckResult:
+def improves_structure(op: CanonicalOp, s: ValuedStructure) -> CheckResult:
     for rel in s:
-        res = improves(op, rel, cap=cap)
+        res = improves(op, rel)
         if not res:
             return res
     return CheckResult(True)
 
 
-def preserves_structure(op: CanonicalOp, s: ValuedStructure,
-                        cap: Optional[int] = None) -> CheckResult:
+def preserves_structure(op: CanonicalOp, s: ValuedStructure) -> CheckResult:
     for rel in s:
-        res = preserves(op, rel, cap=cap)
+        res = preserves(op, rel)
         if not res:
             return res
     return CheckResult(True)

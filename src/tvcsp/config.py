@@ -1,7 +1,8 @@
 """Size caps, overridable through environment variables.
 
-Caps are configuration, not hard limits: every capped operation takes an
-explicit ``cap=`` argument that defaults to the values here.
+Caps are configuration, not hard limits: each is read from the environment
+at every use, and the oracle and weak-order enumeration also take an
+explicit ``cap=`` argument.
 
 * ``TVCSP_ARITY_CAP``: maximum arity of a cost table (default 6; the table
   for arity 6 already has 4683 entries).
@@ -13,8 +14,8 @@ explicit ``cap=`` argument that defaults to the values here.
   ``DEFAULT_CRISP_CAP``; when set, all three use the given value.
 
 The improvement/preservation testers enumerate joint order types on ``2k``
-or ``2k + 1`` positions and carry their own default cap of
-``DEFAULT_JOINT_ARITY_CAP`` on the relation arity ``k``.
+or ``2k + 1`` positions and refuse relation arities ``k`` above the fixed
+``DEFAULT_JOINT_ARITY_CAP``.
 """
 
 import os
@@ -53,7 +54,3 @@ def layer_cap() -> int:
 
 def crisp_cap() -> int:
     return _env_int(SEARCH_CAP_NAME, DEFAULT_CRISP_CAP)
-
-
-def joint_arity_cap() -> int:
-    return DEFAULT_JOINT_ARITY_CAP

@@ -113,18 +113,19 @@ class _CompiledAtom:
         return (z for z in self.zeros if self._matches(z, layer))
 
 
-def _compile(inst: CrispInstance, cap: int, cap_name: str):
+def _compile(inst: CrispInstance):
     n = len(inst.variables)
+    cap = config.crisp_cap()
     if n > cap:
-        raise CapacityError("crisp satisfiability", n, cap_name, cap)
+        raise CapacityError("crisp satisfiability", n,
+                            config.SEARCH_CAP_NAME, cap)
     index = {v: i for i, v in enumerate(inst.variables)}
     atoms = [_CompiledAtom(rel, args, index) for rel, args in inst.atoms]
     diseqs = tuple((index[x], index[y]) for x, y in sorted(inst.disequalities))
     return index, atoms, diseqs
 
 
-def solve_crisp_complete(inst: CrispInstance,
-                         cap: Optional[int] = None) -> SatResult:
+def solve_crisp_complete(inst: CrispInstance) -> SatResult:
     """Complete backtracking over successive bottom layers.
 
     Candidate bottom sets are explored in decreasing indicator order (the
@@ -135,8 +136,7 @@ def solve_crisp_complete(inst: CrispInstance,
     ``neqInf(v2, v1)`` and ``ltInf(v2, v0)`` give ``[2,0,1,0]`` although
     ``[1,1,0,0]`` also satisfies them.
     """
-    limit = config.crisp_cap() if cap is None else cap
-    _, atoms, diseqs = _compile(inst, limit, config.SEARCH_CAP_NAME)
+    _, atoms, diseqs = _compile(inst)
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
     if n == 0:
@@ -177,8 +177,7 @@ def _backtrack(atoms: list[_CompiledAtom],
 
 
 def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
-                         check_closure: bool = True,
-                         cap: Optional[int] = None) -> SatResult:
+                         check_closure: bool = True) -> SatResult:
     """Greedy bottom-layer construction for min- or max-closed languages.
 
     Repeatedly shrinks the candidate set F of unplaced variables to the
@@ -203,7 +202,7 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
         flipped = CrispInstance(
             inst.variables,
             tuple([(rel.reversed(), args) for rel, args in inst.atoms]))
-        res = solve_crisp_minlayer(flipped, "min", check_closure, cap)
+        res = solve_crisp_minlayer(flipped, "min", check_closure)
         if res.witness is None:
             return res
         return SatResult(True, res.witness.reversed())
@@ -220,8 +219,7 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                     f"relation {rel.name!r} is not preserved by min; "
                     "the min-layer backend does not cover it")
 
-    limit = config.crisp_cap() if cap is None else cap
-    _, atoms, _ = _compile(inst, limit, config.SEARCH_CAP_NAME)
+    _, atoms, _ = _compile(inst)
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
     unplaced = set(range(n))
@@ -270,7 +268,7 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
     return SatResult(True, witness)
 
 
-def forced_equalities(inst: CrispInstance, cap: Optional[int] = None,
+def forced_equalities(inst: CrispInstance,
                       witness: Optional[WeakOrder] = None
                       ) -> tuple[tuple[str, str], ...]:
     """All variable pairs equal in every solution, as ``(x, y)`` pairs with
@@ -294,7 +292,7 @@ def forced_equalities(inst: CrispInstance, cap: Optional[int] = None,
     that some solution separates is not forced, whichever seeds the search.
     """
     if witness is None:
-        base = solve_crisp_complete(inst, cap=cap)
+        base = solve_crisp_complete(inst)
         if not base.satisfiable:
             raise PreconditionError(
                 "forced equalities of an unsatisfiable instance")
@@ -310,7 +308,7 @@ def forced_equalities(inst: CrispInstance, cap: Optional[int] = None,
                 continue
             if cls[i] != cls[j]:
                 probe = inst.with_disequality(vs[i], vs[j])
-                res = solve_crisp_complete(probe, cap=cap)
+                res = solve_crisp_complete(probe)
                 if res.satisfiable:
                     seen.append(res.witness.ranks)
                     continue

@@ -91,6 +91,54 @@ class ValuedRelation:
     def _reversed(self) -> "ValuedRelation":
         return reverse_relation(self)
 
+    @cached_property
+    def equality_invariant(self) -> bool:
+        """True when the cost depends only on the equality classes of a
+        tuple, i.e. the relation is preserved by every permutation of the
+        domain."""
+        by_partition: dict[tuple[int, ...], Cost] = {}
+        for w, c in self.table.items():
+            sig = partition_signature(w)
+            if by_partition.setdefault(sig, c) != c:
+                return False
+        return True
+
+    @cached_property
+    def test_results(self) -> dict:
+        """Tester results by operation tag, filled by
+        :func:`canonops.improves` and :func:`canonops.preserves`."""
+        return {}
+
+    @cached_property
+    def feasibility(self) -> "ValuedRelation":
+        """:func:`feas` of this relation."""
+        return feas(self)
+
+    @cached_property
+    def optimum(self) -> "ValuedRelation":
+        """:func:`opt` of this relation."""
+        return opt(self)
+
+    @cached_property
+    def injective_values(self) -> tuple[Cost, ...]:
+        """Distinct finite costs of the injective order types, sorted."""
+        return tuple(sorted({c for w, c in self.table.items()
+                             if w.is_injective() and c.is_finite}))
+
+    @cached_property
+    def _minors(self) -> dict:
+        return {}
+
+    def minor_at(self, blocks: tuple[tuple[int, ...], ...]
+                 ) -> "ValuedRelation":
+        """:func:`minor` of this relation at a partition given as tuples of
+        ascending positions ordered by their first position, built once
+        per partition."""
+        out = self._minors.get(blocks)
+        if out is None:
+            out = self._minors.setdefault(blocks, minor(self, blocks))
+        return out
+
     def renamed(self, name: str) -> "ValuedRelation":
         return ValuedRelation(name, self.arity, self.table)
 
@@ -109,14 +157,8 @@ def crisp_relation(name: str, arity: int,
 
 
 def is_equality_invariant(rel: ValuedRelation) -> bool:
-    """True when the cost depends only on the equality classes of a tuple,
-    i.e. the relation is preserved by every permutation of the domain."""
-    by_partition: dict[tuple[int, ...], Cost] = {}
-    for w, c in rel.table.items():
-        sig = partition_signature(w)
-        if by_partition.setdefault(sig, c) != c:
-            return False
-    return True
+    """:attr:`ValuedRelation.equality_invariant`."""
+    return rel.equality_invariant
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +302,7 @@ class ValuedStructure:
 
     @cached_property
     def equality_invariant(self) -> bool:
-        return all(is_equality_invariant(r) for r in self)
+        return all(r.equality_invariant for r in self)
 
     @cached_property
     def essentially_crisp(self) -> bool:
@@ -289,7 +331,8 @@ class ValuedStructure:
 
 
 def feas_structure(s: ValuedStructure) -> ValuedStructure:
-    return ValuedStructure([feas(r) for r in s], name=f"Feas({s.name})")
+    return ValuedStructure([r.feasibility for r in s],
+                           name=f"Feas({s.name})")
 
 
 def build_hat(s: ValuedStructure) -> ValuedStructure:
@@ -297,14 +340,15 @@ def build_hat(s: ValuedStructure) -> ValuedStructure:
 
     Contains the feasibility relation of every relation and the
     minimal-value relation of every minor of every relation (the discrete
-    partition contributes the plain optimum).
+    partition contributes the plain optimum), each named
+    ``Opt(<name>[<partition label>])``.  These are the relations memoized
+    on ``s``'s relations, the ones the lex solver reads.
     """
     rels = []
     for r in s:
-        rels.append(feas(r))
+        rels.append(r.feasibility)
         for blocks in set_partitions(range(1, r.arity + 1)):
-            label = partition_label(r.arity, blocks)
-            rels.append(opt(minor(r, blocks), name=f"Opt({r.name}[{label}])"))
+            rels.append(r.minor_at(tuple(map(tuple, blocks))).optimum)
     return ValuedStructure(rels, name=f"hat({s.name})")
 
 
@@ -489,8 +533,7 @@ def weak_order_totals(structure: ValuedStructure, source,
 
 
 def eval_expression(structure: ValuedStructure, expr: Expression,
-                    name: str = "expr",
-                    cap: Optional[int] = None) -> ValuedRelation:
+                    name: str = "expr") -> ValuedRelation:
     """The valued relation an expression defines over a structure.
 
     For each order type of the free variables, the cost is the minimum,
@@ -501,7 +544,7 @@ def eval_expression(structure: ValuedStructure, expr: Expression,
     """
     variables = expr.free_vars + expr.bound_vars
     n = len(variables)
-    limit = config.arity_cap() if cap is None else cap
+    limit = config.arity_cap()
     if n > limit:
         raise CapacityError("expression evaluation", n,
                             config.ARITY_CAP_NAME, limit)

@@ -8,11 +8,14 @@ The specialized solvers implement the polynomial algorithms of the
 tractable classification cases and are cross-checked against the oracle in
 the test suite.
 
-Everything the solvers derive from the structure alone (the verdict, the
-feasibility relations, the optimum relations of minors) lives in a
-:class:`Plan`.  :func:`solve_dispatch` keeps the plans of recently seen
-structures in a small cache keyed on structure content, so a template
-sent again with a new instance is not classified or compiled again.
+Each tractable case has one solver, which checks its own precondition.
+What solving derives from a relation alone (tester results, feasibility
+relation, minors and their optima) is memoized on the relation, so a
+precondition the classifier has already tested costs one lookup per
+relation.  :func:`solve_dispatch` keeps the structure and verdict of
+recently seen templates in a small cache keyed on structure content, so a
+template sent again with a new instance is not classified again and its
+solver reads the memos of the relations first classified.
 """
 
 from __future__ import annotations
@@ -55,10 +58,7 @@ from .relations import (
     ValuedStructure,
     atom_relation,
     build_hat,
-    feas,
     feas_structure,
-    minor,
-    opt,
     resolve_atoms,
     unscaled,
     weak_order_totals,
@@ -165,8 +165,8 @@ def solve_oracle(structure: ValuedStructure, inst: Instance,
                         _decide(cost, inst.threshold), "oracle")
 
 
-def solve_exact_layers(structure: ValuedStructure, inst: Instance,
-                       cap: Optional[int] = None) -> SolveOutcome:
+def solve_exact_layers(structure: ValuedStructure,
+                       inst: Instance) -> SolveOutcome:
     """Exact minimum for instances whose atoms each use at most two
     distinct variables, by dynamic programming over the set of placed
     variables; same answer as :func:`solve_oracle`, argmin included.
@@ -184,7 +184,7 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
     Capped at ``config.layer_cap()`` variables.
     """
     n = len(inst.variables)
-    limit = config.layer_cap() if cap is None else cap
+    limit = config.layer_cap()
     if n > limit:
         raise CapacityError("layer dynamic program", n,
                             config.SEARCH_CAP_NAME, limit)
@@ -251,75 +251,6 @@ def solve_exact_layers(structure: ValuedStructure, inst: Instance,
                         _decide(cost, inst.threshold), "exactLayers")
 
 
-class Plan:
-    """What the tractable solvers derive from one structure, kept for reuse.
-
-    ``structure`` answers for every structure with the same content and
-    ``verdict`` is its classification (``None`` in the throwaway plans of
-    the public solvers, which are handed their witness or find it).  The
-    derived crisp data of a relation is computed the first time a solve
-    needs it and then kept: its feasibility relation and, for each minor
-    the lex solver meets, the minor's injective value and optimum
-    relation.  The zero sets, crispness and reversed tables the crisp
-    backends read are kept on those relations themselves, and the scaled
-    cost tables that evaluation and the hard routes read on ``structure``.
-
-    A plan holds data only: no solver functions and no caps, which are
-    read at every solve.
-    """
-
-    __slots__ = ("structure", "verdict", "_feas", "_minors")
-
-    def __init__(self, structure: ValuedStructure,
-                 verdict: Optional[Verdict] = None):
-        self.structure = structure
-        self.verdict = verdict
-        self._feas: dict[str, ValuedRelation] = {}
-        self._minors: dict[tuple, tuple[Cost, ValuedRelation]] = {}
-
-    def feasibility(self, rel: ValuedRelation) -> ValuedRelation:
-        out = self._feas.get(rel.name)
-        if out is None:
-            out = self._feas[rel.name] = feas(rel)
-        return out
-
-    def feas_instance(self, atoms, variables) -> CrispInstance:
-        # a list first: see Instance.from_atoms
-        return CrispInstance(
-            tuple(variables),
-            tuple([(self.feasibility(rel), args) for rel, args in atoms]))
-
-    def lex_minor(self, rel: ValuedRelation,
-                  blocks: tuple[tuple[int, ...], ...]
-                  ) -> tuple[Cost, ValuedRelation]:
-        """The unique finite injective value of the minor of ``rel`` that
-        identifies each block of positions, and the minor's optimum
-        relation; :class:`InvariantViolation` when lex cannot improve the
-        minor."""
-        key = (rel.name, blocks)
-        out = self._minors.get(key)
-        if out is not None:
-            return out
-        sub = minor(rel, blocks)
-        inj_vals = {sub.table[w] for w in enumerate_weak_orders(sub.arity)
-                    if w.is_injective() and sub.table[w].is_finite}
-        if len(inj_vals) > 1:
-            raise InvariantViolation(
-                f"finite injective entries of {sub.name!r} disagree; "
-                "lex improvement cannot hold")
-        if not inj_vals:
-            raise InvariantViolation(
-                f"{sub.name!r} has no finite injective entry after forced "
-                "equalities; lex improvement cannot hold")
-        m_j = inj_vals.pop()
-        if sub.finite_values()[0] != m_j:
-            raise InvariantViolation(
-                f"{sub.name!r} undercuts its injective value; "
-                "lex improvement cannot hold")
-        out = self._minors[key] = (m_j, opt(sub))
-        return out
-
-
 def solve_const(structure: ValuedStructure, inst: Instance,
                 threshold: Optional[Cost] = None) -> SolveOutcome:
     """All-equal assignment; optimal whenever the constant operation
@@ -329,12 +260,9 @@ def solve_const(structure: ValuedStructure, inst: Instance,
         if not improves(const0, rel):
             raise PreconditionError(
                 f"constant operation does not improve {rel.name!r}")
-    return _solve_const(Plan(structure), inst.with_threshold(threshold))
-
-
-def _solve_const(plan: Plan, inst: Instance) -> SolveOutcome:
+    inst = inst.with_threshold(threshold)
     w = bottom_order(len(inst.variables))
-    cost = evaluate(plan.structure, inst, w)
+    cost = evaluate(structure, inst, w)
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), CONST_CASE)
 
 
@@ -385,12 +313,8 @@ def solve_equality_inj(structure: ValuedStructure, inst: Instance,
         if not improves(inj, rel):
             raise PreconditionError(
                 f"binary injection does not improve {rel.name!r}")
-    return _solve_equality_inj(Plan(structure),
-                               inst.with_threshold(threshold))
-
-
-def _solve_equality_inj(plan: Plan, inst: Instance) -> SolveOutcome:
-    atoms = resolve_atoms(plan.structure, inst)
+    inst = inst.with_threshold(threshold)
+    atoms = resolve_atoms(structure, inst)
     uf = _UnionFind(inst.variables)
 
     changed = True
@@ -405,7 +329,7 @@ def _solve_equality_inj(plan: Plan, inst: Instance) -> SolveOutcome:
                                         EQ_INJ_CASE)
                 continue
             consistent = [
-                w for w in plan.feasibility(rel).zeros() if all(
+                w for w in rel.feasibility.zeros() if all(
                     (cargs[p] != cargs[q]) or (w.ranks[p] == w.ranks[q])
                     for p in range(rel.arity) for q in range(p + 1, rel.arity))
             ]
@@ -424,7 +348,7 @@ def _solve_equality_inj(plan: Plan, inst: Instance) -> SolveOutcome:
 
     rank = {r: i for i, r in enumerate(uf.roots())}
     w = WeakOrder(tuple(rank[uf.find(v)] for v in inst.variables))
-    cost = evaluate(plan.structure, inst, w)
+    cost = evaluate(structure, inst, w)
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), EQ_INJ_CASE)
 
 
@@ -440,6 +364,36 @@ def _pick_backend(witness: Optional[CanonicalOp]):
 
         return run
     return solve_crisp_complete
+
+
+def _feas_instance(atoms, variables) -> CrispInstance:
+    """The crisp instance of the atoms' feasibility relations."""
+    # a list first: see Instance.from_atoms
+    return CrispInstance(
+        tuple(variables),
+        tuple([(rel.feasibility, args) for rel, args in atoms]))
+
+
+def _lex_minor(rel: ValuedRelation, blocks: tuple[tuple[int, ...], ...]
+               ) -> tuple[Cost, ValuedRelation]:
+    """The unique finite injective value of the minor of ``rel`` that
+    identifies each block of positions, and the minor's optimum relation;
+    :class:`InvariantViolation` when lex cannot improve the minor."""
+    sub = rel.minor_at(blocks)
+    inj_vals = sub.injective_values
+    if len(inj_vals) > 1:
+        raise InvariantViolation(
+            f"finite injective entries of {sub.name!r} disagree; "
+            "lex improvement cannot hold")
+    if not inj_vals:
+        raise InvariantViolation(
+            f"{sub.name!r} has no finite injective entry after forced "
+            "equalities; lex improvement cannot hold")
+    if sub.finite_values()[0] != inj_vals[0]:
+        raise InvariantViolation(
+            f"{sub.name!r} undercuts its injective value; "
+            "lex improvement cannot hold")
+    return inj_vals[0], sub.optimum
 
 
 def solve_lex(structure: ValuedStructure, inst: Instance,
@@ -463,16 +417,11 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the derived crisp structure")
-    return _solve_lex(Plan(structure), inst.with_threshold(threshold),
-                      witness)
-
-
-def _solve_lex(plan: Plan, inst: Instance,
-               witness: CanonicalOp) -> SolveOutcome:
-    atoms = resolve_atoms(plan.structure, inst)
+    inst = inst.with_threshold(threshold)
+    atoms = resolve_atoms(structure, inst)
     backend = _pick_backend(witness)
 
-    feas_inst = plan.feas_instance(atoms, inst.variables)
+    feas_inst = _feas_instance(atoms, inst.variables)
     base = backend(feas_inst)
     if not base.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold), LEX_CASE)
@@ -493,7 +442,7 @@ def _solve_lex(plan: Plan, inst: Instance,
                 distinct.append(a)
         blocks = tuple(tuple(p + 1 for p, a in enumerate(cargs) if a == d)
                        for d in distinct)
-        m_j, optimum = plan.lex_minor(rel, blocks)
+        m_j, optimum = _lex_minor(rel, blocks)
         total = total + m_j
         crisp_atoms.append((optimum, tuple(distinct)))
 
@@ -520,14 +469,9 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
         if witness is None:
             raise PreconditionError(
                 "no catalog operation preserves the feasibility structure")
-    return _solve_essentially_crisp(Plan(structure),
-                                    inst.with_threshold(threshold), witness)
-
-
-def _solve_essentially_crisp(plan: Plan, inst: Instance,
-                             witness: CanonicalOp) -> SolveOutcome:
-    atoms = resolve_atoms(plan.structure, inst)
-    res = _pick_backend(witness)(plan.feas_instance(atoms, inst.variables))
+    inst = inst.with_threshold(threshold)
+    atoms = resolve_atoms(structure, inst)
+    res = _pick_backend(witness)(_feas_instance(atoms, inst.variables))
     if not res.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold),
                             ESS_CRISP_CASE)
@@ -541,10 +485,11 @@ def _solve_essentially_crisp(plan: Plan, inst: Instance,
 _FALLBACK_NOTE = ("template classified NP-complete; exact answer computed "
                   "by exponential {}")
 
-#: Plans :func:`solve_dispatch` keeps; the least recently used goes first.
+#: Plans (structure and verdict) :func:`solve_dispatch` keeps; the least
+#: recently used goes first.
 PLAN_CACHE_SIZE = 32
 
-_PLANS: OrderedDict[tuple, Plan] = OrderedDict()
+_PLANS: OrderedDict[tuple, tuple[ValuedStructure, Verdict]] = OrderedDict()
 _PLANS_LOCK = threading.Lock()
 
 
@@ -562,8 +507,10 @@ def _content_key(structure: ValuedStructure) -> tuple:
         for rel in structure)
 
 
-def _plan_for(structure: ValuedStructure) -> Plan:
-    """The cached plan of the structure's content; classifies on a miss."""
+def _plan_for(structure: ValuedStructure
+              ) -> tuple[ValuedStructure, Verdict]:
+    """The cached structure of the structure's content, which stands in for
+    every content-equal copy, and its verdict; classifies on a miss."""
     key = _content_key(structure)
     with _PLANS_LOCK:
         plan = _PLANS.get(key)
@@ -574,7 +521,7 @@ def _plan_for(structure: ValuedStructure) -> Plan:
         verdict = classify_equality(structure)
     else:
         verdict = classify_temporal(structure)
-    plan = Plan(structure, verdict)
+    plan = (structure, verdict)
     with _PLANS_LOCK:
         _PLANS[key] = plan
         if len(_PLANS) > PLAN_CACHE_SIZE:
@@ -588,34 +535,35 @@ def solve_dispatch(structure: ValuedStructure, inst: Instance,
     """Classify, then route to the matching solver.
 
     Equality-invariant structures go through the equality classification
-    so both code paths stay exercised.  The verdict and the derived crisp
-    data come from the structure's :class:`Plan`, built on the first solve
-    of its content and cached for up to ``PLAN_CACHE_SIZE`` structures.
-    The verdict's tests are exactly the preconditions of the tractable
-    solvers, so their bodies run without testing them again.  Hard
+    so both code paths stay exercised.  The verdict comes from the plan
+    cache, which holds it with the first structure of the same content for
+    up to ``PLAN_CACHE_SIZE`` contents, and the solver runs on that
+    structure.  The verdict's tests are exactly the preconditions of the
+    tractable solvers, and their results are memoized on its relations, so
+    the solvers' own checks are lookups; the witness is handed over.  Hard
     templates fall back to an exact exponential method, with an explicit
     warning in the outcome: the layer dynamic program when every atom uses
     at most two distinct variables, the oracle otherwise.
     """
-    plan = _plan_for(structure)
-    verdict = plan.verdict
+    structure, verdict = _plan_for(structure)
     inst = inst.with_threshold(threshold)
 
     if verdict.case in (CONST_CASE, EQ_CONST_CASE):
-        out = replace(_solve_const(plan, inst), method=verdict.case)
+        out = replace(solve_const(structure, inst), method=verdict.case)
     elif verdict.case == EQ_INJ_CASE:
-        out = _solve_equality_inj(plan, inst)
+        out = solve_equality_inj(structure, inst)
     elif verdict.case == LEX_CASE:
-        out = _solve_lex(plan, inst, verdict.witness)
+        out = solve_lex(structure, inst, witness=verdict.witness)
     elif verdict.case == ESS_CRISP_CASE:
-        out = _solve_essentially_crisp(plan, inst, verdict.witness)
+        out = solve_essentially_crisp(structure, inst,
+                                      witness=verdict.witness)
     else:
         assert verdict.case in (HARD_CASE, EQ_HARD_CASE)
         if all(len(set(args)) <= 2 for _, args in inst.atoms):
-            out = solve_exact_layers(plan.structure, inst)
+            out = solve_exact_layers(structure, inst)
             how = "dynamic programming over layers"
         else:
-            out = solve_oracle(plan.structure, inst)
+            out = solve_oracle(structure, inst)
             how = "enumeration of weak orders"
         out = replace(out, method="oracleFallback",
                       note=_FALLBACK_NOTE.format(how))

@@ -28,7 +28,8 @@ from tvcsp import (
     solve_lex,
     solve_oracle,
 )
-from tvcsp import config, cspengine, files, orders, solvers
+from tvcsp import canonops, config, cspengine, files, orders, solvers
+from tvcsp.relations import build_hat
 
 import randgen as rg
 
@@ -331,34 +332,74 @@ def test_polynomial_solvers_scale_past_the_oracle_cap():
     assert out.optimal_cost == Cost(len(eq_edges))
 
 
+def _count_tester_runs(monkeypatch):
+    """Records every run of a tester body, memo hits excluded."""
+    runs = []
+    for name in ("_unary_check", "_binary_check"):
+        real = getattr(canonops, name)
+
+        def counting(op, rel, _real=real):
+            runs.append((op.tag, rel.name))
+            return _real(op, rel)
+
+        monkeypatch.setattr(canonops, name, counting)
+    return runs
+
+
 def test_dispatch_does_not_retest_solver_preconditions(monkeypatch):
-    # the verdict already established them; the public solvers still test
-    real = solvers.improves
-    calls = []
-
-    def counting(op, rel, *args, **kwargs):
-        calls.append(op.tag)
-        return real(op, rel, *args, **kwargs)
-
-    monkeypatch.setattr(solvers, "improves", counting)
+    # dispatch runs the testers only to classify; the solver's own checks
+    # then read the results memoized on the classified relations, while a
+    # public solver on an untested structure runs the testers itself
+    monkeypatch.setattr(solvers, "_PLANS", OrderedDict())
+    runs = _count_tester_runs(monkeypatch)
     cases = [
-        (ValuedStructure([named_relation("leq01")]), "leq01", "constCase"),
-        (ValuedStructure([named_relation("neq01")]), "neq01", "eqInjCase"),
-        (ValuedStructure([named_relation("neq01"), named_relation("ltInf")]),
-         "ltInf", "lexCase"),
+        (("leq01",), "constCase", solve_const),
+        (("neq01",), "eqInjCase", solve_equality_inj),
+        (("neq01", "ltInf"), "lexCase", solve_lex),
+        (("ltInf",), "essentiallyCrispCase", solve_essentially_crisp),
     ]
-    public = {"constCase": solve_const, "eqInjCase": solve_equality_inj,
-              "lexCase": solve_lex}
-    for s, name, case in cases:
-        inst = Instance.from_atoms([(name, ("x", "y")), (name, ("y", "z"))])
-        out, verdict = solve_dispatch(s, inst)
+    for names, case, public in cases:
+        def fresh():
+            return ValuedStructure([named_relation(n) for n in names])
+        inst = Instance.from_atoms([(names[-1], ("x", "y")),
+                                    (names[-1], ("y", "z"))])
+        copy = fresh()
+        classify = (t.classify_equality if copy.equality_invariant
+                    else t.classify_temporal)
+        assert classify(copy).case == case
+        classified = len(runs)
+        runs.clear()
+        out, verdict = solve_dispatch(fresh(), inst)
         assert (verdict.case, out.method) == (case, case)
-        assert calls == []
-        direct = public[case](s, inst)
+        assert len(runs) == classified
+        runs.clear()
+        direct = public(fresh(), inst)
+        assert runs
+        runs.clear()
         assert (direct.optimal_cost, direct.argmin) == (out.optimal_cost,
                                                         out.argmin)
-        assert calls
-        calls.clear()
+
+
+def test_build_hat_and_lex_solve_share_derived_relations(monkeypatch):
+    # the feasibility relations and minor optima a lex solve hands its
+    # backend are the objects build_hat puts in the derived structure
+    s = ValuedStructure([r3_relation(), t.rel_abg(INF, 0, INF, name="ltC")])
+    hat = build_hat(s)
+    met = []
+    for name in ("solve_crisp_complete", "solve_crisp_minlayer"):
+        real = getattr(solvers, name)
+
+        def recording(ci, *args, _real=real, **kwargs):
+            met.extend(rel for rel, _ in ci.atoms)
+            return _real(ci, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, recording)
+    inst = Instance.from_atoms([("R3", ("a", "a", "c")),
+                                ("R3", ("a", "b", "c")), ("ltC", ("c", "d"))])
+    assert solve_lex(s, inst).optimal_cost == Cost(1)
+    assert {"Feas(R3)", "Opt(R3[12|3])", "Opt(R3[1|2|3])"} <= {
+        r.name for r in met}
+    assert all(rel is hat.get(rel.name) for rel in met)
 
 
 def test_dispatch_without_threshold_builds_no_instance(monkeypatch):
@@ -690,7 +731,7 @@ def test_plan_shared_by_content_equal_structures(cold_plans):
     assert cold_plans == ["classify_temporal"]
     assert (repr(out1), repr(v1)) == (repr(out2), repr(v2))
     assert solvers._plan_for(second) is solvers._plan_for(first)
-    assert solvers._plan_for(second).structure is first
+    assert solvers._plan_for(second)[0] is first
 
 
 def test_plan_keys_on_every_table_entry_and_relation_name(cold_plans):
