@@ -16,12 +16,21 @@ Disequality side-constraints are native to the engine (they are what the
 forced-equality queries add) but only the complete backend accepts them:
 a disequality is not min-closed, so the greedy backend refuses and callers
 fall back.
+
+An instance compiles its atoms once, and the copies made for
+forced-equality probes share them.  Whether an atom's placed arguments can
+still reach a zero of its relation is a fact about the relation, so the
+complete backend keeps each answer in the relation's
+:meth:`~relations.ValuedRelation.consistency_memo`, shared by every
+instance over that relation.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import config
@@ -56,13 +65,22 @@ class CrispInstance:
 
     def with_disequality(self, x: str, y: str) -> "CrispInstance":
         """This instance plus ``x ≠ y``.  Only the new pair is validated:
-        the rest was checked when this instance was built."""
+        the rest was checked when this instance was built, and the copy
+        shares this instance's compiled atoms."""
         if x == y or x not in self.variables or y not in self.variables:
             raise ValueError(f"bad disequality pair ({x}, {y})")
+        self._compiled  # filled before the copy, which takes it along
         out = copy.copy(self)
         object.__setattr__(out, "disequalities",
                            self.disequalities | {(x, y)})
         return out
+
+    @cached_property
+    def _compiled(self) -> tuple[dict[str, int], tuple["_CompiledAtom", ...]]:
+        """The variable index and the compiled atoms, built once."""
+        index = {v: i for i, v in enumerate(self.variables)}
+        return index, tuple([_CompiledAtom(rel, args, index)
+                             for rel, args in self.atoms])
 
 
 @dataclass(frozen=True)
@@ -72,19 +90,33 @@ class SatResult:
 
 
 class _CompiledAtom:
-    """One atom with its feasible rank tuples and variable indices."""
+    """One atom with its feasible rank tuples, its variable indices and
+    its relation's consistency memo for its pattern of repeated
+    arguments."""
 
-    __slots__ = ("positions", "zeros")
+    __slots__ = ("positions", "zeros", "_layers_of", "_memo")
 
     def __init__(self, rel: ValuedRelation, args: tuple[str, ...],
                  index: dict[str, int]):
         self.positions = tuple(index[a] for a in args)
-        self.zeros = tuple(w.ranks for w in rel.zeros())
+        self.zeros = rel.zero_ranks
+        self._layers_of = itemgetter(*self.positions)
+        self._memo = rel.consistency_memo(tuple(args.index(a) for a in args))
 
     def consistent(self, layer: list[Optional[int]]) -> bool:
         """Is some feasible order type compatible with the placed layers,
-        all unplaced variables strictly above them?"""
-        return any(self._matches(z, layer) for z in self.zeros)
+        all unplaced variables strictly above them?
+
+        :meth:`_matches` reads only the layers of the atom's arguments and
+        which arguments repeat, so the answer is looked up in, or added
+        to, the relation's :meth:`~ValuedRelation.consistency_memo`.
+        """
+        key = self._layers_of(layer)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = any(self._matches(z, layer)
+                                          for z in self.zeros)
+        return found
 
     def _matches(self, z: tuple[int, ...], layer: list[Optional[int]]) -> bool:
         pos = self.positions
@@ -114,15 +146,16 @@ class _CompiledAtom:
 
 
 def _compile(inst: CrispInstance):
+    """The instance's compiled atoms and disequalities; the crisp cap is
+    read at every call."""
     n = len(inst.variables)
     cap = config.crisp_cap()
     if n > cap:
         raise CapacityError("crisp satisfiability", n,
                             config.SEARCH_CAP_NAME, cap)
-    index = {v: i for i, v in enumerate(inst.variables)}
-    atoms = [_CompiledAtom(rel, args, index) for rel, args in inst.atoms]
+    index, atoms = inst._compiled
     diseqs = tuple((index[x], index[y]) for x, y in sorted(inst.disequalities))
-    return index, atoms, diseqs
+    return atoms, diseqs
 
 
 def solve_crisp_complete(inst: CrispInstance) -> SatResult:
@@ -136,7 +169,7 @@ def solve_crisp_complete(inst: CrispInstance) -> SatResult:
     ``neqInf(v2, v1)`` and ``ltInf(v2, v0)`` give ``[2,0,1,0]`` although
     ``[1,1,0,0]`` also satisfies them.
     """
-    _, atoms, diseqs = _compile(inst)
+    atoms, diseqs = _compile(inst)
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
     if n == 0:
@@ -147,7 +180,7 @@ def solve_crisp_complete(inst: CrispInstance) -> SatResult:
     return SatResult(False, None)
 
 
-def _backtrack(atoms: list[_CompiledAtom],
+def _backtrack(atoms: tuple[_CompiledAtom, ...],
                diseqs: tuple[tuple[int, int], ...],
                layer: list[Optional[int]], unplaced: tuple[int, ...],
                depth: int) -> bool:
@@ -219,7 +252,7 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                     f"relation {rel.name!r} is not preserved by min; "
                     "the min-layer backend does not cover it")
 
-    _, atoms, _ = _compile(inst)
+    atoms, _ = _compile(inst)
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
     unplaced = set(range(n))

@@ -31,10 +31,13 @@ round-trips are stable.
 
 from __future__ import annotations
 
+import os
 import re
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from typing import Optional, Sequence
 
+from . import config
 from .cost import Cost, parse_cost
 from .errors import ParseError
 from .orders import WeakOrder, enumerate_weak_orders
@@ -100,7 +103,41 @@ class _RelationBuilder:
         return ValuedRelation(self.name, self.arity, table)
 
 
+#: Parsed structures :func:`parse_structure` keeps; the least recently used
+#: goes first.
+STRUCTURE_CACHE_SIZE = 32
+
+_STRUCTURES: OrderedDict[tuple[str, Optional[str]], ValuedStructure] = \
+    OrderedDict()
+_STRUCTURES_LOCK = threading.Lock()
+
+
 def parse_structure(text: str) -> ValuedStructure:
+    """The structure a structure file describes.
+
+    Structures are immutable, so one text parsed again returns the same
+    object, kept for up to ``STRUCTURE_CACHE_SIZE`` texts.  The key holds
+    the arity cap setting in force, which the parse checks: as the raw
+    environment value, which reading cannot fail, so that an invalid
+    setting fails inside the parse as without the cache.  A text that
+    fails to parse is not kept and fails the same way every time.
+    """
+    key = (text, os.environ.get(config.ARITY_CAP_NAME))
+    with _STRUCTURES_LOCK:
+        structure = _STRUCTURES.get(key)
+        if structure is not None:
+            _STRUCTURES.move_to_end(key)
+            return structure
+    structure = _parse_structure(text)
+    with _STRUCTURES_LOCK:
+        # a thread that parsed the same text first keeps its object
+        structure = _STRUCTURES.setdefault(key, structure)
+        if len(_STRUCTURES) > STRUCTURE_CACHE_SIZE:
+            _STRUCTURES.popitem(last=False)
+    return structure
+
+
+def _parse_structure(text: str) -> ValuedStructure:
     name = ""
     builders: list[_RelationBuilder] = []
     for lineno, line in _lines(text):

@@ -83,6 +83,31 @@ class ValuedRelation:
         return tuple(w for w in enumerate_weak_orders(self.arity)
                      if self.table[w] == ZERO)
 
+    @cached_property
+    def zero_ranks(self) -> tuple[tuple[int, ...], ...]:
+        """The rank tuples of :meth:`zeros`, in the same order."""
+        return tuple(w.ranks for w in self._zeros)
+
+    @cached_property
+    def _consistency(self) -> dict:
+        return {}
+
+    def consistency_memo(self, pattern: tuple[int, ...]) -> dict:
+        """Consistency answers of the complete crisp backend for atoms on
+        this relation whose arguments repeat as ``pattern`` (each
+        argument's first position among the arguments), keyed on the
+        layers of the arguments and filled by that backend.
+
+        An answer depends only on the relation, the pattern and those
+        layers, so it holds for every instance.  Only the states a search
+        visits are stored: each layer is unplaced or below the crisp cap,
+        so a pattern holds at most ``(crisp cap + 1) ** arity`` entries.
+        """
+        memo = self._consistency.get(pattern)
+        if memo is None:
+            memo = self._consistency.setdefault(pattern, {})
+        return memo
+
     def reversed(self) -> "ValuedRelation":
         """:func:`reverse_relation` of this relation, built once."""
         return self._reversed
@@ -267,8 +292,9 @@ class ValuedStructure:
     """A named collection of valued relations over Q.
 
     Relations keep their declaration order.  The two flags consumed by the
-    classifier and the scaled tables are computed on demand and cached; all
-    tables are immutable, so the cache never goes stale.
+    classifier, the content key and the scaled tables are computed on
+    demand and cached; all tables are immutable, so the cache never goes
+    stale.
     """
 
     def __init__(self, relations: Iterable[ValuedRelation], name: str = ""):
@@ -307,6 +333,22 @@ class ValuedStructure:
     @cached_property
     def essentially_crisp(self) -> bool:
         return all(r.is_essentially_crisp() for r in self)
+
+    @cached_property
+    def content_key(self) -> tuple:
+        """Each relation's name, arity and costs in weak-order order: equal
+        exactly for structures of the same content, whatever their name.
+
+        The costs enter as one string of their canonical texts (``inf``,
+        ``3/2``), which stand one to one for their values and contain no
+        space.  Unlike ``Fraction`` values, a string hashes and compares
+        in C.
+        """
+        return tuple(
+            (rel.name, rel.arity,
+             " ".join([str(rel.table[w])
+                       for w in enumerate_weak_orders(rel.arity)]))
+            for rel in self)
 
     @cached_property
     def scaled(self) -> tuple[int, dict[str, dict[tuple[int, ...], Scaled]]]:

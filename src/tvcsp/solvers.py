@@ -50,7 +50,7 @@ from .cspengine import (
     solve_crisp_minlayer,
 )
 from .errors import CapacityError, InvariantViolation, PreconditionError
-from .orders import WeakOrder, bottom_order, canonical_ranks, enumerate_weak_orders
+from .orders import WeakOrder, bottom_order, canonical_ranks
 # atom_relation and resolve_atoms are also read as solvers.<name>
 from .relations import (
     Scaled,
@@ -493,25 +493,11 @@ _PLANS: OrderedDict[tuple, tuple[ValuedStructure, Verdict]] = OrderedDict()
 _PLANS_LOCK = threading.Lock()
 
 
-def _content_key(structure: ValuedStructure) -> tuple:
-    """Each relation's name, arity and costs in weak-order order.
-
-    The costs enter as one string of their canonical texts (``inf``,
-    ``3/2``), which stand one to one for their values and contain no
-    space.  Unlike ``Fraction`` values, a string hashes and compares in C.
-    """
-    return tuple(
-        (rel.name, rel.arity,
-         " ".join([str(rel.table[w])
-                   for w in enumerate_weak_orders(rel.arity)]))
-        for rel in structure)
-
-
 def _plan_for(structure: ValuedStructure
               ) -> tuple[ValuedStructure, Verdict]:
     """The cached structure of the structure's content, which stands in for
     every content-equal copy, and its verdict; classifies on a miss."""
-    key = _content_key(structure)
+    key = structure.content_key
     with _PLANS_LOCK:
         plan = _PLANS.get(key)
         if plan is not None:

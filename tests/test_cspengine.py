@@ -150,6 +150,67 @@ def test_complete_search_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_complete_answers_alike_with_a_warm_consistency_memo():
+    # the relations below are shared by every instance, so their memos
+    # are warm from the instances before; fresh copies start empty
+    rng = random.Random(4242)
+    rels = [LT, NEQ, EQC, LEQ, BETW, t.feas(named_relation("leq01")),
+            named_relation("Cyc"), named_relation("T3"),
+            named_relation("Dis")]
+    repeated = with_diseqs = satisfiable = 0
+    for _ in range(400):
+        ci = rg.rand_crisp_instance(rng, rels, max_vars=7, max_atoms=5)
+        vs = ci.variables
+        pairs = frozenset(tuple(rng.sample(vs, 2))
+                          for _ in range(rng.randint(0, 2) if len(vs) > 1
+                                         else 0))
+        warm = CrispInstance(vs, ci.atoms, pairs)
+        fresh = {id(rel): rel.renamed(rel.name) for rel, _ in ci.atoms}
+        cold = CrispInstance(
+            vs, tuple((fresh[id(rel)], args) for rel, args in ci.atoms), pairs)
+        res = solve_crisp_complete(warm)
+        assert res == solve_crisp_complete(cold), warm
+        repeated += any(len(set(args)) < len(args) for _, args in ci.atoms)
+        with_diseqs += bool(pairs)
+        satisfiable += res.satisfiable
+    assert min(repeated, with_diseqs, satisfiable) >= 100
+
+
+def test_forced_equalities_compiles_each_atom_once(monkeypatch):
+    built = []
+
+    class Counting(cspengine._CompiledAtom):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cspengine, "_CompiledAtom", Counting)
+    calls = _count_complete_calls(monkeypatch)
+    vs = ("v0", "v1", "v2", "v3")
+    ci = CrispInstance(vs, ((EQC, ("v0", "v1")), (LEQ, ("v1", "v2")),
+                            (LEQ, ("v2", "v1")), (NEQ, ("v2", "v3"))))
+    want = (("v0", "v1"), ("v0", "v2"), ("v1", "v2"))
+    assert forced_equalities(ci) == want
+    assert len(calls) == 3  # the base solve and two probes
+    assert len(built) == len(ci.atoms)
+    # seeded with a solution, the probes are the first to compile
+    seeded = CrispInstance(vs, ci.atoms)
+    built.clear()
+    calls.clear()
+    assert forced_equalities(seeded, WeakOrder((0, 0, 0, 1))) == want
+    assert len(calls) == 2
+    assert len(built) == len(ci.atoms)
+    # the crisp cap is read at every backend call, not at compile time
+    monkeypatch.setenv("TVCSP_SEARCH_CAP", "3")
+    for inst in (ci, ci.with_disequality("v0", "v3")):
+        with pytest.raises(t.CapacityError) as err:
+            solve_crisp_complete(inst)
+        assert "TVCSP_SEARCH_CAP=3" in str(err.value)
+    assert len(built) == len(ci.atoms)
+
+
 def test_complete_cap():
     ci = CrispInstance(tuple(f"v{i}" for i in range(11)), ())
     with pytest.raises(t.CapacityError) as err:

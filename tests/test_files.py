@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import pytest
 
 import tvcsp as t
@@ -17,6 +19,7 @@ from tvcsp import (
     serialize_structure,
     solve_oracle,
 )
+from tvcsp import files
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -62,6 +65,60 @@ def test_parse_structure_errors(text, fragment, line):
         parse_structure(text)
     assert fragment in str(err.value)
     assert err.value.line == line
+
+
+# ---------------------------------------------------------------------------
+# parse cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cold_parses(monkeypatch):
+    """An empty parse cache for the test."""
+    monkeypatch.setattr(files, "_STRUCTURES", OrderedDict())
+
+
+def test_parse_cache_returns_one_object_per_text(cold_parses):
+    first = parse_structure(SOFT_NEQ)
+    assert parse_structure(SOFT_NEQ) is first
+    other = parse_structure(SOFT_NEQ + "# the same content\n")
+    assert other is not first
+    assert serialize_structure(other) == serialize_structure(first)
+
+
+def test_parse_cache_keeps_no_failed_parse(cold_parses):
+    text = "relation r arity=2 default=0\n[0,0] 1\n[0,0] 2\n"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse_structure(text)
+        errors.append((str(err.value), err.value.line, err.value.column))
+    assert errors[0] == errors[1]
+    assert not files._STRUCTURES
+
+
+def test_parse_cache_rereads_the_arity_cap(cold_parses, monkeypatch):
+    text = "relation r arity=3 default=0\n[0,0,0] 1\n"
+    assert parse_structure(text).get("r").arity == 3
+    monkeypatch.setenv("TVCSP_ARITY_CAP", "2")
+    for _ in range(2):
+        with pytest.raises(t.CapacityError) as err:
+            parse_structure(text)
+        assert "TVCSP_ARITY_CAP=2" in str(err.value)
+    monkeypatch.delenv("TVCSP_ARITY_CAP")
+    assert parse_structure(text).get("r").arity == 3
+
+
+def test_parse_cache_evicts_past_its_bound(cold_parses):
+    bound = files.STRUCTURE_CACHE_SIZE
+    texts = [f"# copy {i}\n{SOFT_NEQ}" for i in range(bound + 4)]
+    first = [parse_structure(text) for text in texts]
+    assert len(files._STRUCTURES) == bound
+    # the newest texts are kept; the oldest are parsed again
+    assert parse_structure(texts[-1]) is first[-1]
+    again = parse_structure(texts[0])
+    assert again is not first[0]
+    assert serialize_structure(again) == serialize_structure(first[0])
+    assert len(files._STRUCTURES) == bound
 
 
 def test_structure_round_trip_catalog():

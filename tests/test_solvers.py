@@ -722,7 +722,8 @@ relation {name} arity=2 default=0
 def test_plan_shared_by_content_equal_structures(cold_plans):
     text = R_TEXT.format(name="R", eq=1)
     first = files.parse_structure(text)
-    second = files.parse_structure(text)
+    # another text of the same content: a distinct, content-equal object
+    second = files.parse_structure("# a copy\n" + text)
     assert first is not second
     inst_text = "instance\natom R x y\natom R y x\n"
     out1, v1 = solve_dispatch(first, files.parse_instance(inst_text, first))
@@ -849,3 +850,61 @@ def test_plan_cache_under_concurrent_dispatch(cold_plans):
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert len(solvers._PLANS) <= solvers.PLAN_CACHE_SIZE
+
+
+def test_parse_and_dispatch_under_concurrent_text_requests(cold_plans,
+                                                           monkeypatch):
+    # more texts than the parse cache holds, two templates whose
+    # relations' memos start empty and are filled by all four threads
+    rng = random.Random(31)
+    templates = [ValuedStructure([named_relation("neq01"),
+                                  named_relation("ltInf")]),
+                 ValuedStructure([named_relation("neqInf"),
+                                  named_relation("ltInf")])]
+    copies = files.STRUCTURE_CACHE_SIZE // 2 + 4
+    requests = []
+    for s in templates:
+        text = files.serialize_structure(s)
+        for i in range(copies):
+            inst = rg.rand_instance(rng, s, max_vars=6, eq_prob=0,
+                                    empty_prob=0)
+            requests.append((f"# copy {i}\n{text}",
+                             files.serialize_instance(inst)))
+
+    def solve(stext, itext):
+        structure = files.parse_structure(stext)
+        return repr(solve_dispatch(structure,
+                                   files.parse_instance(itext, structure)))
+
+    monkeypatch.setattr(files, "_STRUCTURES", OrderedDict())
+    want = [solve(*req) for req in requests]
+    assert {v.case for _, v in solvers._PLANS.values()} == {
+        "lexCase", "essentiallyCrispCase"}
+    solvers._PLANS.clear()
+    files._STRUCTURES.clear()
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in range(2 * len(requests)):
+                j = (offset + 7 * k) % len(requests)
+                if solve(*requests[j]) != want[j]:
+                    errors.append(j)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(files._STRUCTURES) == files.STRUCTURE_CACHE_SIZE
+    assert len(solvers._PLANS) == len(templates)
