@@ -12,16 +12,17 @@ A solution over Q is determined by the weak order it induces on the
 variables, so witnesses are weak orders; layer ``i`` of the construction
 corresponds to rank ``i``.
 
-Disequality side-constraints are native to the engine (they are what the
-forced-equality queries add) but only the complete backend accepts them:
-a disequality is not min-closed, so the greedy backend refuses and callers
-fall back.
+An instance is variables plus atoms, nothing else.  Forced equalities are
+asked with strict-order atoms: x and y are equal in every solution exactly
+when the instance plus ``ltInf(x, y)`` and the instance plus
+``ltInf(y, x)`` are both unsatisfiable.  ``x < y`` is preserved by all
+eight catalog operations, so a probe stays in its instance's class.
 
-An instance compiles its atoms once, and the copies made for
-forced-equality probes share them.  Whether an atom's placed arguments can
-still reach a zero of its relation is a fact about the relation, so the
-complete backend keeps each answer in the relation's
-:meth:`~relations.ValuedRelation.consistency_memo`, shared by every
+An instance compiles its atoms once, and the probe copies share them and
+compile only their ``ltInf`` atom.  Which bottom sets an atom admits, given
+the layers of its placed arguments, is a fact about its relation, so both
+backends read it from the relation's
+:meth:`~relations.ValuedRelation.bottom_sets_memo`, shared by every
 instance over that relation.
 """
 
@@ -31,21 +32,23 @@ import copy
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import config
 from .errors import CapacityError, PreconditionError, UnsupportedClassError
 from .orders import WeakOrder, canonical_ranks
-from .relations import ValuedRelation
+from .relations import ValuedRelation, named_relation
 
 Atom = tuple[ValuedRelation, tuple[str, ...]]
+
+# one relation for every probe, so its bottom-set memo is shared by all
+_LT = named_relation("ltInf")
 
 
 @dataclass(frozen=True)
 class CrispInstance:
     variables: tuple[str, ...]
     atoms: tuple[Atom, ...]
-    disequalities: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -59,20 +62,20 @@ class CrispInstance:
                     f"atom {rel.name!r} expects {rel.arity} arguments")
             if not set(args) <= declared:
                 raise ValueError(f"atom {rel.name!r} uses undeclared variables")
-        for x, y in self.disequalities:
-            if x not in declared or y not in declared or x == y:
-                raise ValueError(f"bad disequality pair ({x}, {y})")
 
-    def with_disequality(self, x: str, y: str) -> "CrispInstance":
-        """This instance plus ``x ≠ y``.  Only the new pair is validated:
-        the rest was checked when this instance was built, and the copy
-        shares this instance's compiled atoms."""
+    def with_lt(self, x: str, y: str) -> "CrispInstance":
+        """This instance plus ``ltInf(x, y)`` as its first atom.  Only the
+        new pair is validated, and the copy compiles only the new atom.
+
+        First, because the search tests atoms in order and the new atom
+        rejects the most candidate layers at the least cost."""
         if x == y or x not in self.variables or y not in self.variables:
-            raise ValueError(f"bad disequality pair ({x}, {y})")
-        self._compiled  # filled before the copy, which takes it along
+            raise ValueError(f"bad strict-order pair ({x}, {y})")
+        index, atoms = self._compiled
         out = copy.copy(self)
-        object.__setattr__(out, "disequalities",
-                           self.disequalities | {(x, y)})
+        object.__setattr__(out, "atoms", ((_LT, (x, y)),) + self.atoms)
+        object.__setattr__(out, "_compiled", (
+            index, (_CompiledAtom(_LT, (x, y), index),) + atoms))
         return out
 
     @cached_property
@@ -91,7 +94,7 @@ class SatResult:
 
 class _CompiledAtom:
     """One atom with its feasible rank tuples, its variable indices and
-    its relation's consistency memo for its pattern of repeated
+    its relation's bottom-set memo for its pattern of repeated
     arguments."""
 
     __slots__ = ("positions", "zeros", "_layers_of", "_memo")
@@ -101,21 +104,31 @@ class _CompiledAtom:
         self.positions = tuple(index[a] for a in args)
         self.zeros = rel.zero_ranks
         self._layers_of = itemgetter(*self.positions)
-        self._memo = rel.consistency_memo(tuple(args.index(a) for a in args))
+        self._memo = rel.bottom_sets_memo(tuple(args.index(a) for a in args))
 
-    def consistent(self, layer: list[Optional[int]]) -> bool:
-        """Is some feasible order type compatible with the placed layers,
-        all unplaced variables strictly above them?
+    def bottom_sets(self, layer: list[Optional[int]]) -> tuple[int, ...]:
+        """The admissible bottom sets, as masks over argument positions:
+        the unplaced arguments jointly minimal among the unplaced ones in
+        some feasible order type that agrees with the placed layers and
+        puts every unplaced argument above them.  ``()`` means there is no
+        such order type, and ``(0,)`` that all arguments are placed and
+        the atom holds.
 
         :meth:`_matches` reads only the layers of the atom's arguments and
-        which arguments repeat, so the answer is looked up in, or added
-        to, the relation's :meth:`~ValuedRelation.consistency_memo`.
+        which arguments repeat, so the answer is kept in the relation's
+        :meth:`~ValuedRelation.bottom_sets_memo`.
         """
         key = self._layers_of(layer)
         found = self._memo.get(key)
         if found is None:
-            found = self._memo[key] = any(self._matches(z, layer)
-                                          for z in self.zeros)
+            open_pos = [i for i, p in enumerate(self.positions)
+                        if layer[p] is None]
+            masks = set()
+            for z in self.zeros:
+                if self._matches(z, layer):
+                    low = min([z[i] for i in open_pos], default=None)
+                    masks.add(sum(1 << i for i in open_pos if z[i] == low))
+            found = self._memo[key] = tuple(sorted(masks))
         return found
 
     def _matches(self, z: tuple[int, ...], layer: list[Optional[int]]) -> bool:
@@ -140,22 +153,15 @@ class _CompiledAtom:
                         return False
         return True
 
-    def feasible_matches(self, layer: list[Optional[int]]
-                         ) -> Iterable[tuple[int, ...]]:
-        return (z for z in self.zeros if self._matches(z, layer))
 
-
-def _compile(inst: CrispInstance):
-    """The instance's compiled atoms and disequalities; the crisp cap is
-    read at every call."""
+def _compile(inst: CrispInstance) -> tuple[_CompiledAtom, ...]:
+    """The instance's compiled atoms; the crisp cap is read at every call."""
     n = len(inst.variables)
     cap = config.crisp_cap()
     if n > cap:
         raise CapacityError("crisp satisfiability", n,
                             config.SEARCH_CAP_NAME, cap)
-    index, atoms = inst._compiled
-    diseqs = tuple((index[x], index[y]) for x, y in sorted(inst.disequalities))
-    return atoms, diseqs
+    return inst._compiled[1]
 
 
 def solve_crisp_complete(inst: CrispInstance) -> SatResult:
@@ -169,19 +175,18 @@ def solve_crisp_complete(inst: CrispInstance) -> SatResult:
     ``neqInf(v2, v1)`` and ``ltInf(v2, v0)`` give ``[2,0,1,0]`` although
     ``[1,1,0,0]`` also satisfies them.
     """
-    atoms, diseqs = _compile(inst)
+    atoms = _compile(inst)
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
     if n == 0:
         return SatResult(True, None)
-    if _backtrack(atoms, diseqs, layer, tuple(range(n)), 0):
+    if _backtrack(atoms, layer, tuple(range(n)), 0):
         ranks = tuple(layer[i] for i in range(n))
         return SatResult(True, WeakOrder(ranks))
     return SatResult(False, None)
 
 
 def _backtrack(atoms: tuple[_CompiledAtom, ...],
-               diseqs: tuple[tuple[int, int], ...],
                layer: list[Optional[int]], unplaced: tuple[int, ...],
                depth: int) -> bool:
     """Place some of ``unplaced`` as layer ``depth``, then the rest above.
@@ -198,11 +203,9 @@ def _backtrack(atoms: tuple[_CompiledAtom, ...],
         chosen = [unplaced[i] for i in range(m) if mask & (1 << (m - 1 - i))]
         for v in chosen:
             layer[v] = depth
-        bad = any(layer[x] == layer[y] for x, y in diseqs
-                  if layer[x] is not None and layer[y] is not None)
-        if not bad and all(a.consistent(layer) for a in atoms):
+        if all(a.bottom_sets(layer) for a in atoms):
             rest = tuple(v for v in unplaced if layer[v] is None)
-            if _backtrack(atoms, diseqs, layer, rest, depth + 1):
+            if _backtrack(atoms, layer, rest, depth + 1):
                 return True
         for v in chosen:
             layer[v] = None
@@ -215,21 +218,14 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
 
     Repeatedly shrinks the candidate set F of unplaced variables to the
     greatest fixpoint under: a variable of an atom survives only if it lies
-    in some admissible bottom set of that atom contained in F.  An
-    admissible bottom set of an atom is a set of its unplaced variables
-    that appear jointly equal and strictly below all its other unplaced
-    variables in some feasible order type compatible with the layers
-    already placed.  For min-closed relations the union of admissible
-    bottom sets inside F is itself admissible, which is what makes placing
-    all of F as one layer sound.  If F empties while variables remain, the
-    instance is unsatisfiable.
+    in some admissible bottom set of that atom contained in F (see
+    :meth:`_CompiledAtom.bottom_sets`).  For min-closed relations the union
+    of admissible bottom sets inside F is itself admissible, which is what
+    makes placing all of F as one layer sound.  If F empties while
+    variables remain, the instance is unsatisfiable.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    if inst.disequalities:
-        raise UnsupportedClassError(
-            "disequality side-constraints are not min-closed; "
-            "use the complete backend")
     if direction == "max":
         # a list first: see solvers.Instance.from_atoms
         flipped = CrispInstance(
@@ -252,8 +248,10 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                     f"relation {rel.name!r} is not preserved by min; "
                     "the min-layer backend does not cover it")
 
-    atoms, _ = _compile(inst)
+    atoms = _compile(inst)
     n = len(inst.variables)
+    if n == 0:
+        return SatResult(True, None)
     layer: list[Optional[int]] = [None] * n
     unplaced = set(range(n))
     depth = 0
@@ -263,25 +261,22 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
         while changed:
             changed = False
             for atom in atoms:
-                vars_here = set(atom.positions)
-                open_here = vars_here & unplaced
-                feasible = list(atom.feasible_matches(layer))
-                if not feasible:
+                masks = atom.bottom_sets(layer)
+                if not masks:
                     return SatResult(False, None)
-                if not (open_here & candidates):
+                # the argument positions whose variable is in F
+                inside = sum(1 << i for i, p in enumerate(atom.positions)
+                             if p in candidates)
+                if not inside:
                     continue
-                admissible_union: set[int] = set()
-                for z in feasible:
-                    open_pos = [i for i, p in enumerate(atom.positions)
-                                if p in unplaced]
-                    low = min(z[i] for i in open_pos)
-                    bottom = {atom.positions[i] for i in open_pos
-                              if z[i] == low}
-                    if bottom <= candidates:
-                        admissible_union |= bottom
-                drop = (open_here & candidates) - admissible_union
+                admissible_union = 0
+                for m in masks:
+                    if not m & ~inside:
+                        admissible_union |= m
+                drop = inside & ~admissible_union
                 if drop:
-                    candidates -= drop
+                    candidates -= {p for i, p in enumerate(atom.positions)
+                                   if drop >> i & 1}
                     changed = True
         if not candidates:
             return SatResult(False, None)
@@ -307,18 +302,20 @@ def forced_equalities(inst: CrispInstance,
     """All variable pairs equal in every solution, as ``(x, y)`` pairs with
     ``x`` declared before ``y``, in declaration order.
 
-    A pair (x, y) is forced exactly when the instance plus the disequality
-    x ≠ y is unsatisfiable.  Pairs are taken in order and only undecided
-    ones are probed:
+    A pair (x, y) is forced exactly when the instance plus ``ltInf(x, y)``
+    and the instance plus ``ltInf(y, x)`` are both unsatisfiable.  Pairs
+    are taken in order and only undecided ones are probed:
 
     * a pair that some witness found so far separates (the base solution
       or the solution of a satisfiable probe) is not forced;
     * a pair inside a class already merged by unsatisfiable probes is
       forced, since forced equality is an equivalence relation.
 
-    So at most one probe per pair is made (the base solve plus ``n(n-1)/2``
-    probes in the worst case), and none at all when the base solution is
-    injective.  The instance itself must be satisfiable.
+    An undecided pair is probed with ``ltInf(x, y)`` first, and with
+    ``ltInf(y, x)`` only if that is unsatisfiable.  So at most two probes
+    per pair are made (the base solve plus ``n(n-1)`` probes in the worst
+    case), and none at all when the base solution is injective.  The
+    instance itself must be satisfiable.
 
     A caller that already holds a solution passes it as ``witness``, and
     the base solve is skipped.  Any solution gives the same pairs: a pair
@@ -340,8 +337,9 @@ def forced_equalities(inst: CrispInstance,
             if any(r[i] != r[j] for r in seen):
                 continue
             if cls[i] != cls[j]:
-                probe = inst.with_disequality(vs[i], vs[j])
-                res = solve_crisp_complete(probe)
+                res = solve_crisp_complete(inst.with_lt(vs[i], vs[j]))
+                if not res.satisfiable:
+                    res = solve_crisp_complete(inst.with_lt(vs[j], vs[i]))
                 if res.satisfiable:
                     seen.append(res.witness.ranks)
                     continue

@@ -89,23 +89,23 @@ class ValuedRelation:
         return tuple(w.ranks for w in self._zeros)
 
     @cached_property
-    def _consistency(self) -> dict:
+    def _bottom_sets(self) -> dict:
         return {}
 
-    def consistency_memo(self, pattern: tuple[int, ...]) -> dict:
-        """Consistency answers of the complete crisp backend for atoms on
-        this relation whose arguments repeat as ``pattern`` (each
-        argument's first position among the arguments), keyed on the
-        layers of the arguments and filled by that backend.
+    def bottom_sets_memo(self, pattern: tuple[int, ...]) -> dict:
+        """Admissible bottom sets of atoms on this relation whose arguments
+        repeat as ``pattern`` (each argument's first position among the
+        arguments), keyed on the layers of the arguments and filled by
+        both crisp backends (see ``cspengine._CompiledAtom.bottom_sets``).
 
-        An answer depends only on the relation, the pattern and those
+        An entry depends only on the relation, the pattern and those
         layers, so it holds for every instance.  Only the states a search
         visits are stored: each layer is unplaced or below the crisp cap,
         so a pattern holds at most ``(crisp cap + 1) ** arity`` entries.
         """
-        memo = self._consistency.get(pattern)
+        memo = self._bottom_sets.get(pattern)
         if memo is None:
-            memo = self._consistency.setdefault(pattern, {})
+            memo = self._bottom_sets.setdefault(pattern, {})
         return memo
 
     def reversed(self) -> "ValuedRelation":

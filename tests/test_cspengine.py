@@ -8,6 +8,7 @@ from tvcsp import cspengine
 from tvcsp import (
     CrispInstance,
     PreconditionError,
+    SatResult,
     UnsupportedClassError,
     WeakOrder,
     forced_equalities,
@@ -32,20 +33,30 @@ def test_instance_validation():
         CrispInstance(("x",), ((named_relation("lt01"), ("x", "x")),))
     with pytest.raises(ValueError):
         CrispInstance(("x", "y"), ((LT, ("x",)),))
-    with pytest.raises(ValueError):
-        CrispInstance(("x",), (), frozenset({("x", "x")}))
 
 
-def test_with_disequality_checks_the_new_pair():
-    ci = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")),),
-                       frozenset({("y", "z")}))
+def test_with_lt_checks_the_new_pair(monkeypatch):
+    built = _count_compiled_atoms(monkeypatch)
+    ci = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")), (NEQ, ("y", "z"))))
     for x, y in (("x", "x"), ("x", "w"), ("w", "y")):
         with pytest.raises(ValueError):
-            ci.with_disequality(x, y)
-    probe = ci.with_disequality("x", "z")
-    assert probe.disequalities == {("y", "z"), ("x", "z")}
-    assert (probe.variables, probe.atoms) == (ci.variables, ci.atoms)
-    assert ci.disequalities == {("y", "z")}
+            ci.with_lt(x, y)
+    assert built == []  # a bad pair compiles nothing
+    probe = ci.with_lt("z", "x")
+    assert len(built) == len(ci.atoms) + 1
+    assert probe.variables == ci.variables
+    assert probe.atoms[1:] == ci.atoms
+    assert probe.atoms[0][1] == ("z", "x")
+    assert probe.atoms[0][0].table == LT.table
+    assert ci.atoms == ((LT, ("x", "y")), (NEQ, ("y", "z")))
+    assert solve_crisp_complete(ci).witness == WeakOrder((0, 1, 0))
+    assert solve_crisp_complete(probe).witness == WeakOrder((1, 2, 0))
+    # a probe of a probe compiles only its own atom as well
+    assert not solve_crisp_complete(probe.with_lt("y", "z")).satisfiable
+    assert len(built) == len(ci.atoms) + 2
+    # every probe shares one ltInf relation, and with it one memo
+    other = CrispInstance(("a", "b"), ())
+    assert other.with_lt("b", "a").atoms[0][0] is probe.atoms[0][0]
 
 
 def test_antisymmetry_unsat():
@@ -80,10 +91,13 @@ def test_unconstrained_variables_collapse():
 def test_disequalities_respected():
     ci = CrispInstance(("x", "y"), ((EQC, ("x", "y")),))
     assert solve_crisp_complete(ci).satisfiable
-    assert not solve_crisp_complete(
-        ci.with_disequality("x", "y")).satisfiable
-    free = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")),),
-                         frozenset({("x", "z"), ("y", "z")}))
+    for x, y in (("x", "y"), ("y", "x")):
+        assert not solve_crisp_complete(ci.with_lt(x, y)).satisfiable
+    assert not solve_crisp_complete(CrispInstance(
+        ci.variables, ci.atoms + ((NEQ, ("x", "y")),))).satisfiable
+    free = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")),
+                                           (NEQ, ("x", "z")),
+                                           (NEQ, ("y", "z"))))
     res = solve_crisp_complete(free)
     assert res.satisfiable
     rx, ry, rz = res.witness.ranks
@@ -157,26 +171,73 @@ def test_complete_answers_alike_with_a_warm_consistency_memo():
     rels = [LT, NEQ, EQC, LEQ, BETW, t.feas(named_relation("leq01")),
             named_relation("Cyc"), named_relation("T3"),
             named_relation("Dis")]
-    repeated = with_diseqs = satisfiable = 0
+    repeated = with_probes = satisfiable = 0
     for _ in range(400):
         ci = rg.rand_crisp_instance(rng, rels, max_vars=7, max_atoms=5)
         vs = ci.variables
-        pairs = frozenset(tuple(rng.sample(vs, 2))
-                          for _ in range(rng.randint(0, 2) if len(vs) > 1
-                                         else 0))
-        warm = CrispInstance(vs, ci.atoms, pairs)
-        fresh = {id(rel): rel.renamed(rel.name) for rel, _ in ci.atoms}
+        pairs = [tuple(rng.sample(vs, 2))
+                 for _ in range(rng.randint(0, 2) if len(vs) > 1 else 0)]
+        warm = ci
+        for x, y in pairs:  # probes over the shared ltInf relation
+            warm = warm.with_lt(x, y)
+        fresh = {id(rel): rel.renamed(rel.name) for rel, _ in warm.atoms}
         cold = CrispInstance(
-            vs, tuple((fresh[id(rel)], args) for rel, args in ci.atoms), pairs)
+            vs, tuple((fresh[id(rel)], args) for rel, args in warm.atoms))
         res = solve_crisp_complete(warm)
         assert res == solve_crisp_complete(cold), warm
         repeated += any(len(set(args)) < len(args) for _, args in ci.atoms)
-        with_diseqs += bool(pairs)
+        with_probes += bool(pairs)
         satisfiable += res.satisfiable
-    assert min(repeated, with_diseqs, satisfiable) >= 100
+    assert min(repeated, with_probes, satisfiable) >= 100
 
 
-def test_forced_equalities_compiles_each_atom_once(monkeypatch):
+def test_minlayer_answers_alike_with_a_warm_memo(monkeypatch):
+    # the pool relations and their reversals are shared by every instance,
+    # so their memos are warm from the instances before
+    rng = random.Random(6161)
+    pool = [rg.make_minclosed_crisp(rng, f"M{i}", rng.randint(1, 3))
+            for i in range(10)]
+    satisfiable = 0
+    for _ in range(200):
+        ci = rg.rand_crisp_instance(rng, rng.sample(pool, rng.randint(1, 3)),
+                                    max_vars=7)
+        fresh = {id(rel): rel.renamed(rel.name) for rel, _ in ci.atoms}
+        for shared in (True, False):
+            atoms = ci.atoms if shared else tuple(
+                (fresh[id(rel)], args) for rel, args in ci.atoms)
+            rev = tuple([(rel.reversed(), args) for rel, args in atoms])
+            got = (solve_crisp_minlayer(CrispInstance(ci.variables, atoms),
+                                        "min", check_closure=False),
+                   solve_crisp_minlayer(CrispInstance(ci.variables, rev),
+                                        "max", check_closure=False))
+            if shared:
+                want = got
+            assert got == want, ci
+        assert want[1].witness == (want[0].witness
+                                   and want[0].witness.reversed())
+        satisfiable += want[0].satisfiable
+    assert satisfiable >= 100
+    # a second solve of the same instance reads only the memo
+    matched = []
+    real = cspengine._CompiledAtom._matches
+
+    def counting(self, z, layer):
+        matched.append(z)
+        return real(self, z, layer)
+
+    monkeypatch.setattr(cspengine._CompiledAtom, "_matches", counting)
+    ci = CrispInstance(ci.variables, tuple(
+        (rel.renamed(rel.name), args) for rel, args in ci.atoms))
+    for direction in ("min", "max"):
+        first = solve_crisp_minlayer(ci, direction, check_closure=False)
+        assert matched
+        matched.clear()
+        assert solve_crisp_minlayer(ci, direction,
+                                    check_closure=False) == first
+        assert matched == []
+
+
+def _count_compiled_atoms(monkeypatch):
     built = []
 
     class Counting(cspengine._CompiledAtom):
@@ -187,28 +248,37 @@ def test_forced_equalities_compiles_each_atom_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(cspengine, "_CompiledAtom", Counting)
+    return built
+
+
+def test_forced_equalities_compiles_each_atom_once(monkeypatch):
+    built = _count_compiled_atoms(monkeypatch)
     calls = _count_complete_calls(monkeypatch)
     vs = ("v0", "v1", "v2", "v3")
     ci = CrispInstance(vs, ((EQC, ("v0", "v1")), (LEQ, ("v1", "v2")),
                             (LEQ, ("v2", "v1")), (NEQ, ("v2", "v3"))))
     want = (("v0", "v1"), ("v0", "v2"), ("v1", "v2"))
     assert forced_equalities(ci) == want
-    assert len(calls) == 3  # the base solve and two probes
-    assert len(built) == len(ci.atoms)
+    # the base solve, then two unsatisfiable probes for each of two pairs;
+    # each probe compiles only its ltInf atom
+    assert len(calls) == 5
+    assert len(built) == len(ci.atoms) + 4
     # seeded with a solution, the probes are the first to compile
     seeded = CrispInstance(vs, ci.atoms)
     built.clear()
     calls.clear()
     assert forced_equalities(seeded, WeakOrder((0, 0, 0, 1))) == want
-    assert len(calls) == 2
-    assert len(built) == len(ci.atoms)
+    assert len(calls) == 4
+    assert len(built) == len(ci.atoms) + 4
     # the crisp cap is read at every backend call, not at compile time
+    probe = ci.with_lt("v0", "v3")
+    assert len(built) == len(ci.atoms) + 5
     monkeypatch.setenv("TVCSP_SEARCH_CAP", "3")
-    for inst in (ci, ci.with_disequality("v0", "v3")):
+    for inst in (ci, probe):
         with pytest.raises(t.CapacityError) as err:
             solve_crisp_complete(inst)
         assert "TVCSP_SEARCH_CAP=3" in str(err.value)
-    assert len(built) == len(ci.atoms)
+    assert len(built) == len(ci.atoms) + 5
 
 
 def test_complete_cap():
@@ -228,15 +298,17 @@ def test_minlayer_examples():
     cycle = CrispInstance(("x", "y"), ((LT, ("x", "y")), (LT, ("y", "x"))))
     assert not solve_crisp_minlayer(cycle, "min").satisfiable
 
+    # no variables: satisfiable with no witness, as on the complete backend
+    empty = CrispInstance((), ())
+    assert solve_crisp_complete(empty) == SatResult(True, None)
+    for direction in ("min", "max"):
+        assert solve_crisp_minlayer(empty, direction) == SatResult(True, None)
+
 
 def test_minlayer_rejects_unsupported():
     neq_inst = CrispInstance(("x", "y"), ((NEQ, ("x", "y")),))
     with pytest.raises(UnsupportedClassError):
         solve_crisp_minlayer(neq_inst, "min")
-    diseq = CrispInstance(("x", "y"), ((LT, ("x", "y")),),
-                          frozenset({("x", "y")}))
-    with pytest.raises(UnsupportedClassError):
-        solve_crisp_minlayer(diseq, "min")
 
 
 def test_minlayer_max_direction():
@@ -320,13 +392,13 @@ def test_forced_equalities_monotone_under_atoms():
 
 
 def _forced_equalities_reference(inst):
-    """One probe per pair, no pruning."""
+    """One ``neqInf`` probe per pair, no pruning."""
     assert solve_crisp_complete(inst).satisfiable
     vs = inst.variables
     return tuple((vs[i], vs[j])
                  for i in range(len(vs)) for j in range(i + 1, len(vs))
-                 if not solve_crisp_complete(
-                     inst.with_disequality(vs[i], vs[j])).satisfiable)
+                 if not solve_crisp_complete(CrispInstance(
+                     vs, inst.atoms + ((NEQ, (vs[i], vs[j])),))).satisfiable)
 
 
 def _count_complete_calls(monkeypatch):
@@ -357,13 +429,13 @@ def test_forced_equalities_match_all_pairs_reference(monkeypatch):
         got = forced_equalities(ci)
         assert got == want, ci
         n = len(ci.variables)
-        assert len(calls) <= 1 + n * (n - 1) // 2
+        assert len(calls) <= 1 + n * (n - 1)
         if n <= 4:
             # any solution may seed the search in place of the base solve
             for w in _satisfying_orders(ci):
                 calls.clear()
                 assert forced_equalities(ci, witness=w) == want, (ci, w)
-                assert len(calls) <= n * (n - 1) // 2
+                assert len(calls) <= n * (n - 1)
         checked += 1
         with_forced += bool(want)
     assert with_forced >= 50
@@ -383,7 +455,8 @@ def test_forced_equalities_probe_counts(monkeypatch):
                                     for i in range(5)))
     assert forced_equalities(equal) == tuple(
         (vs[i], vs[j]) for i in range(6) for j in range(i + 1, 6))
-    assert len(calls) == 6  # v0 against each other; the rest by transitivity
+    # v0 against each other, two probes a pair; the rest by transitivity
+    assert len(calls) == 11
 
     calls.clear()
     assert forced_equalities(CrispInstance((), ())) == ()

@@ -688,8 +688,10 @@ def test_lex_solves_the_feasibility_instance_once(monkeypatch):
     # relations; a second base solve would make it standalone + 2
     assert len(calls) == standalone + 1
     assert calls[0].atoms == feas_inst.atoms
-    assert not calls[0].disequalities
-    assert all(probe.disequalities for probe in calls[1:-1])
+    # each probe is the feasibility instance plus one ltInf atom
+    for probe in calls[1:-1]:
+        assert probe.atoms[1:] == feas_inst.atoms
+        assert probe.atoms[0][0].name == "ltInf"
 
 
 # ---------------------------------------------------------------------------
