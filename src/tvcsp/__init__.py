@@ -54,6 +54,7 @@ from .cspengine import (
     SatResult,
     forced_equalities,
     solve_crisp_complete,
+    solve_crisp_freeset,
     solve_crisp_minlayer,
 )
 from .classify import Verdict, classify_equality, classify_temporal

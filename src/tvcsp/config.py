@@ -10,8 +10,9 @@ explicit ``cap=`` argument.
   backends accept.  When unset, the brute-force optimizer caps at
   ``DEFAULT_ORACLE_CAP`` variables (it enumerates the ordered Bell number
   of weak orders), the layer dynamic program at ``DEFAULT_LAYER_CAP`` (it
-  takes O(3ⁿ·n) steps) and the crisp satisfiability backend at
-  ``DEFAULT_CRISP_CAP``; when set, all three use the given value.
+  takes O(3ⁿ·n) steps) and the complete crisp backend (with the min/max
+  wrapper of the free-set driver) at ``DEFAULT_CRISP_CAP``; when set, all
+  three use the given value.
 
 The improvement/preservation testers enumerate joint order types on ``2k``
 or ``2k + 1`` positions and refuse relation arities ``k`` above the fixed

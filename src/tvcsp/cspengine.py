@@ -3,10 +3,18 @@
 Two backends decide conjunctions of atoms over crisp order-type tables:
 
 * a complete layer-by-layer backtracking search, sound and complete for
-  every crisp language at desk scale, returning the first witness in
-  layer order (see :func:`solve_crisp_complete`);
-* a greedy min-layer procedure, polynomial for languages closed under the
-  binary minimum (or maximum, run on reversed tables).
+  every crisp language at desk scale and capped by the crisp cap,
+  returning the first witness in layer order (see
+  :func:`solve_crisp_complete`);
+* a polynomial free-set driver (Bodirsky & Kára) for languages preserved
+  by ``min``, ``mi`` or their duals ``max``, ``miDual``
+  (see :func:`solve_crisp_freeset`).  It places a free set (a nonempty
+  set of unplaced variables that meets every atom in nothing or in one of
+  the atom's admissible bottom sets) as the next layer, until every
+  variable is placed or no free set is left.  A finder per witness finds
+  the set; the duals run on reversed tables.  :func:`solve_crisp_minlayer`
+  is the driver with the ``min`` finder behind the crisp cap and a
+  closure check.
 
 A solution over Q is determined by the weak order it induces on the
 variables, so witnesses are weak orders; layer ``i`` of the construction
@@ -16,7 +24,8 @@ An instance is variables plus atoms, nothing else.  Forced equalities are
 asked with strict-order atoms: x and y are equal in every solution exactly
 when the instance plus ``ltInf(x, y)`` and the instance plus
 ``ltInf(y, x)`` are both unsatisfiable.  ``x < y`` is preserved by all
-eight catalog operations, so a probe stays in its instance's class.
+eight catalog operations, so a probe stays in its instance's class and
+runs on the same backend.
 
 An instance compiles its atoms once, and the probe copies share them and
 compile only their ``ltInf`` atom.  Which bottom sets an atom admits, given
@@ -32,7 +41,7 @@ import copy
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from . import config
 from .errors import CapacityError, PreconditionError, UnsupportedClassError
@@ -76,6 +85,26 @@ class CrispInstance:
         object.__setattr__(out, "atoms", ((_LT, (x, y)),) + self.atoms)
         object.__setattr__(out, "_compiled", (
             index, (_CompiledAtom(_LT, (x, y), index),) + atoms))
+        if "_reversed" in self.__dict__:
+            # reversed, x < y reads y < x
+            object.__setattr__(out, "_reversed", self._reversed.with_lt(y, x))
+        return out
+
+    def reversed(self) -> "CrispInstance":
+        """This instance over the reversed tables, built once: its
+        solutions are the reversals of this instance's.  A probe of an
+        instance whose reversal is built is reversed as a probe of that
+        reversal, so it too compiles only its ``ltInf`` atom."""
+        return self._reversed
+
+    @cached_property
+    def _reversed(self) -> "CrispInstance":
+        # not validated again: the atoms were validated here
+        out = object.__new__(CrispInstance)
+        # a list first: see solvers.Instance.from_atoms
+        object.__setattr__(out, "variables", self.variables)
+        object.__setattr__(out, "atoms", tuple(
+            [(rel.reversed(), args) for rel, args in self.atoms]))
         return out
 
     @cached_property
@@ -154,14 +183,13 @@ class _CompiledAtom:
         return True
 
 
-def _compile(inst: CrispInstance) -> tuple[_CompiledAtom, ...]:
-    """The instance's compiled atoms; the crisp cap is read at every call."""
+def _check_cap(inst: CrispInstance) -> None:
+    """Refuse an instance above the crisp cap, read at every call."""
     n = len(inst.variables)
     cap = config.crisp_cap()
     if n > cap:
         raise CapacityError("crisp satisfiability", n,
                             config.SEARCH_CAP_NAME, cap)
-    return inst._compiled[1]
 
 
 def solve_crisp_complete(inst: CrispInstance) -> SatResult:
@@ -175,7 +203,8 @@ def solve_crisp_complete(inst: CrispInstance) -> SatResult:
     ``neqInf(v2, v1)`` and ``ltInf(v2, v0)`` give ``[2,0,1,0]`` although
     ``[1,1,0,0]`` also satisfies them.
     """
-    atoms = _compile(inst)
+    _check_cap(inst)
+    atoms = inst._compiled[1]
     n = len(inst.variables)
     layer: list[Optional[int]] = [None] * n
     if n == 0:
@@ -214,63 +243,54 @@ def _backtrack(atoms: tuple[_CompiledAtom, ...],
 
 def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                          check_closure: bool = True) -> SatResult:
-    """Greedy bottom-layer construction for min- or max-closed languages.
-
-    Repeatedly shrinks the candidate set F of unplaced variables to the
-    greatest fixpoint under: a variable of an atom survives only if it lies
-    in some admissible bottom set of that atom contained in F (see
-    :meth:`_CompiledAtom.bottom_sets`).  For min-closed relations the union
-    of admissible bottom sets inside F is itself admissible, which is what
-    makes placing all of F as one layer sound.  If F empties while
-    variables remain, the instance is unsatisfiable.
-    """
+    """:func:`solve_crisp_freeset` with the ``min`` (or ``max``) finder,
+    behind the crisp cap and, unless ``check_closure`` is false, a check
+    that ``direction`` preserves every relation."""
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    if direction == "max":
-        # a list first: see solvers.Instance.from_atoms
-        flipped = CrispInstance(
-            inst.variables,
-            tuple([(rel.reversed(), args) for rel, args in inst.atoms]))
-        res = solve_crisp_minlayer(flipped, "min", check_closure)
-        if res.witness is None:
-            return res
-        return SatResult(True, res.witness.reversed())
-
     if check_closure:
         from .canonops import OPS, preserves
-        seen: dict[int, bool] = {}
+        seen: set[int] = set()
         for rel, _ in inst.atoms:
             if id(rel) in seen:
                 continue
-            seen[id(rel)] = True
-            if not preserves(OPS["min"], rel):
+            seen.add(id(rel))
+            if not preserves(OPS[direction], rel):
                 raise UnsupportedClassError(
-                    f"relation {rel.name!r} is not preserved by min; "
-                    "the min-layer backend does not cover it")
+                    f"relation {rel.name!r} is not preserved by "
+                    f"{direction}; the min-layer backend does not cover it")
+    # The driver needs no cap.  This guard only keeps the essentially-crisp
+    # min route capped until the benchmark's capped-climb fixture moves to
+    # another route; then it goes (ROADMAP item 1, step 1).
+    _check_cap(inst)
+    return solve_crisp_freeset(inst, direction)
 
-    atoms = _compile(inst)
-    n = len(inst.variables)
-    if n == 0:
-        return SatResult(True, None)
-    layer: list[Optional[int]] = [None] * n
-    unplaced = set(range(n))
-    depth = 0
-    while unplaced:
+
+def _min_finder(atoms: tuple[_CompiledAtom, ...], n: int):
+    """The greatest free set, as a function of the layer's masks and the
+    unplaced variables.
+
+    Shrinks the candidate set F of unplaced variables to the greatest
+    fixpoint under: a variable of an atom survives only if it lies in some
+    admissible bottom set of that atom contained in F.  Admissible bottom
+    sets of a min-closed relation are closed under union (``min`` of two
+    zeros, both with their bottom sets at one value, has the union as its
+    bottom set), so the union of those inside F is admissible, and the
+    fixpoint is a free set unless it is empty.
+    """
+    def find(masks: list[tuple[int, ...]], unplaced: set[int]) -> set[int]:
         candidates = set(unplaced)
         changed = True
         while changed:
             changed = False
-            for atom in atoms:
-                masks = atom.bottom_sets(layer)
-                if not masks:
-                    return SatResult(False, None)
+            for atom, atom_masks in zip(atoms, masks):
                 # the argument positions whose variable is in F
                 inside = sum(1 << i for i, p in enumerate(atom.positions)
                              if p in candidates)
                 if not inside:
                     continue
                 admissible_union = 0
-                for m in masks:
+                for m in atom_masks:
                     if not m & ~inside:
                         admissible_union |= m
                 drop = inside & ~admissible_union
@@ -278,27 +298,144 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                     candidates -= {p for i, p in enumerate(atom.positions)
                                    if drop >> i & 1}
                     changed = True
-        if not candidates:
+        return candidates
+
+    return find
+
+
+def _mi_finder(atoms: tuple[_CompiledAtom, ...], n: int):
+    """The least free set that contains the first seed in declaration order
+    that lies in some free set (empty when no free set exists), as a
+    function of the layer's masks and the unplaced variables.
+
+    Admissible bottom sets of an mi-closed relation are closed under
+    intersection when it is nonempty: put the bottom sets A1, A2 of two
+    zeros at one value; ``mi`` of the zeros has bottom set A1 ∩ A2 (or A2
+    when they are disjoint).  Horn closure from a seed s therefore works:
+    start with S = {s}; for each atom that meets S, intersect its
+    admissible sets that contain S's positions in it (none: no free set
+    contains s) and add the result's variables to S.  Every free set that
+    contains s contains each variable added, by induction, and at the
+    fixpoint each atom meets S in exactly such an intersection, which is
+    admissible.  So S is the least free set containing s.
+    """
+    # the atoms on each variable, each once
+    occurs: list[list[int]] = [[] for _ in range(n)]
+    for k, atom in enumerate(atoms):
+        for p in set(atom.positions):
+            occurs[p].append(k)
+
+    def find(masks: list[tuple[int, ...]], unplaced: set[int]) -> set[int]:
+        for seed in sorted(unplaced):
+            closed = _horn_closure(seed, atoms, masks, occurs)
+            if closed:
+                return closed
+        return set()
+
+    return find
+
+
+def _horn_closure(seed: int, atoms: tuple[_CompiledAtom, ...],
+                  masks: list[tuple[int, ...]],
+                  occurs: list[list[int]]) -> set[int]:
+    """:func:`_mi_finder`'s closure from ``seed``; empty when it fails."""
+    closed = {seed}
+    todo = [seed]
+    while todo:
+        for k in occurs[todo.pop()]:
+            pos = atoms[k].positions
+            inside = sum(1 << i for i, p in enumerate(pos) if p in closed)
+            meet = -1
+            for m in masks[k]:
+                if m & inside == inside:
+                    meet &= m
+            if meet == -1:
+                return set()
+            for i, p in enumerate(pos):
+                if meet >> i & 1 and p not in closed:
+                    closed.add(p)
+                    todo.append(p)
+    return closed
+
+
+#: Free-set finder per base witness, built once per solve from the
+#: compiled atoms and the number of variables, and the base of each dual.
+_FINDERS = {"min": _min_finder, "mi": _mi_finder}
+_DUALS = {"max": "min", "miDual": "mi"}
+
+
+def solve_crisp_freeset(inst: CrispInstance, witness_tag: str) -> SatResult:
+    """Place free sets layer by layer, for languages preserved by
+    ``witness_tag``: ``"min"``, ``"mi"`` or their duals ``"max"``,
+    ``"miDual"``.
+
+    A free set is a nonempty set of unplaced variables that meets every
+    atom in nothing or in one of its admissible bottom sets (see
+    :meth:`_CompiledAtom.bottom_sets`).  Each layer reads every atom's
+    masks once.  If some atom admits none, or the witness's finder finds
+    no free set, the instance is unsatisfiable; otherwise the set is
+    placed as the layer.  A dual runs its base witness on reversed tables
+    and reverses the witness.
+
+    Why any free set F may be placed, for ``min`` and ``mi``: take a
+    solution s above the placed layers.  For an atom that F meets, a zero
+    z of its relation has F's part of its arguments as bottom set; put
+    that part just above the placed layers and the other arguments above
+    every value of s.  Applied to z and s, ``min`` and ``mi`` both put
+    F's part at the bottom, tied, and the other arguments in s's order.
+    So "F at the bottom, the rest as in s" is a solution.  Conversely the
+    bottom set of any solution is free, so a finder that finds a free set
+    whenever one exists makes the driver complete.
+
+    No cap is read: there are at most ``n`` layers, each polynomial in
+    the instance.  An unsatisfiable answer is right only when the witness
+    preserves every relation, which the caller guarantees.  A satisfiable
+    answer is checked atom by atom at the end.
+    """
+    base = _DUALS.get(witness_tag)
+    if base is not None:
+        res = solve_crisp_freeset(inst.reversed(), base)
+        if res.witness is None:
+            return res
+        return SatResult(True, res.witness.reversed())
+    finder = _FINDERS.get(witness_tag)
+    if finder is None:
+        raise ValueError(f"no free-set finder for {witness_tag!r}")
+
+    atoms = inst._compiled[1]
+    n = len(inst.variables)
+    if n == 0:
+        return SatResult(True, None)
+    find = finder(atoms, n)
+    layer: list[Optional[int]] = [None] * n
+    unplaced = set(range(n))
+    depth = 0
+    while unplaced:
+        masks = [atom.bottom_sets(layer) for atom in atoms]
+        if not all(masks):
             return SatResult(False, None)
-        for v in candidates:
+        free = find(masks, unplaced)
+        if not free:
+            return SatResult(False, None)
+        for v in free:
             layer[v] = depth
-        unplaced -= candidates
+        unplaced -= free
         depth += 1
 
-    witness = WeakOrder(tuple(layer[i] for i in range(n)))
-    # the greedy construction is only trusted as far as this check
+    # the construction is only trusted as far as this check
     for atom in atoms:
         if canonical_ranks([layer[p] for p in atom.positions]) \
                 not in atom.zeros:
             raise PreconditionError(
-                "min-layer produced an invalid witness; the instance is "
-                "outside the min-closed class")
-    return SatResult(True, witness)
+                f"the free-set driver produced an invalid witness; the "
+                f"instance is outside the {witness_tag}-closed class")
+    return SatResult(True, WeakOrder(tuple(layer[i] for i in range(n))))
 
 
 def forced_equalities(inst: CrispInstance,
-                      witness: Optional[WeakOrder] = None
-                      ) -> tuple[tuple[str, str], ...]:
+                      witness: Optional[WeakOrder] = None,
+                      backend: Optional[Callable[[CrispInstance], SatResult]]
+                      = None) -> tuple[tuple[str, str], ...]:
     """All variable pairs equal in every solution, as ``(x, y)`` pairs with
     ``x`` declared before ``y``, in declaration order.
 
@@ -320,9 +457,16 @@ def forced_equalities(inst: CrispInstance,
     A caller that already holds a solution passes it as ``witness``, and
     the base solve is skipped.  Any solution gives the same pairs: a pair
     that some solution separates is not forced, whichever seeds the search.
+
+    Every solve runs on ``backend``, :func:`solve_crisp_complete` when it
+    is not given.  A backend that decides the instance's class decides
+    the probes too, since ``ltInf`` is preserved by all eight catalog
+    operations.
     """
+    if backend is None:
+        backend = solve_crisp_complete
     if witness is None:
-        base = solve_crisp_complete(inst)
+        base = backend(inst)
         if not base.satisfiable:
             raise PreconditionError(
                 "forced equalities of an unsatisfiable instance")
@@ -337,9 +481,9 @@ def forced_equalities(inst: CrispInstance,
             if any(r[i] != r[j] for r in seen):
                 continue
             if cls[i] != cls[j]:
-                res = solve_crisp_complete(inst.with_lt(vs[i], vs[j]))
+                res = backend(inst.with_lt(vs[i], vs[j]))
                 if not res.satisfiable:
-                    res = solve_crisp_complete(inst.with_lt(vs[j], vs[i]))
+                    res = backend(inst.with_lt(vs[j], vs[i]))
                 if res.satisfiable:
                     seen.append(res.witness.ranks)
                     continue

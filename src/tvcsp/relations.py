@@ -100,8 +100,10 @@ class ValuedRelation:
 
         An entry depends only on the relation, the pattern and those
         layers, so it holds for every instance.  Only the states a search
-        visits are stored: each layer is unplaced or below the crisp cap,
-        so a pattern holds at most ``(crisp cap + 1) ** arity`` entries.
+        visits are stored.  Keys are raw layer numbers, each unplaced or
+        below the number of variables, and the free-set driver is not
+        capped: a pattern holds at most ``(n + 1) ** arity`` entries for
+        the largest ``n`` solved over the relation.
         """
         memo = self._bottom_sets.get(pattern)
         if memo is None:

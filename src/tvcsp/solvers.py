@@ -47,6 +47,7 @@ from .cspengine import (
     SatResult,
     forced_equalities,
     solve_crisp_complete,
+    solve_crisp_freeset,
     solve_crisp_minlayer,
 )
 from .errors import CapacityError, InvariantViolation, PreconditionError
@@ -353,16 +354,16 @@ def solve_equality_inj(structure: ValuedStructure, inst: Instance,
 
 
 def _pick_backend(witness: Optional[CanonicalOp]):
-    """Crisp backend matching the witness operation: the greedy min-layer
-    procedure when the witness is min or max, the complete one otherwise.
-    Closure re-checks are skipped; the caller guarantees preservation."""
-    if witness is not None and witness.tag in ("min", "max"):
-        direction = witness.tag
-
-        def run(ci: CrispInstance) -> SatResult:
-            return solve_crisp_minlayer(ci, direction, check_closure=False)
-
-        return run
+    """Crisp backend matching the witness operation: the free-set driver
+    for ``mi`` and ``miDual``, the min-layer wrapper around it (still
+    behind the crisp cap) for ``min`` and ``max``, and the complete search
+    for ``mx``, ``lele`` and their duals.  Closure re-checks are skipped;
+    the caller guarantees preservation."""
+    tag = witness.tag if witness is not None else None
+    if tag in ("min", "max"):
+        return lambda ci: solve_crisp_minlayer(ci, tag, check_closure=False)
+    if tag in ("mi", "miDual"):
+        return lambda ci: solve_crisp_freeset(ci, tag)
     return solve_crisp_complete
 
 
@@ -426,7 +427,8 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
     if not base.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold), LEX_CASE)
 
-    forced = forced_equalities(feas_inst, witness=base.witness)
+    forced = forced_equalities(feas_inst, witness=base.witness,
+                               backend=backend)
     uf = _UnionFind(inst.variables)
     for x, y in forced:
         uf.union(x, y)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from tvcsp import (
     forced_equalities,
     named_relation,
     solve_crisp_complete,
+    solve_crisp_freeset,
     solve_crisp_minlayer,
 )
 
@@ -57,6 +59,28 @@ def test_with_lt_checks_the_new_pair(monkeypatch):
     # every probe shares one ltInf relation, and with it one memo
     other = CrispInstance(("a", "b"), ())
     assert other.with_lt("b", "a").atoms[0][0] is probe.atoms[0][0]
+
+
+def test_reversed_instance_and_its_probes(monkeypatch):
+    built = _count_compiled_atoms(monkeypatch)
+    ci = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")), (NEQ, ("y", "z"))))
+    rev = ci.reversed()
+    assert rev is ci.reversed()
+    assert rev.variables == ci.variables
+    assert rev.atoms == tuple((rel.reversed(), args) for rel, args in ci.atoms)
+    assert solve_crisp_freeset(ci, "miDual").witness == WeakOrder((1, 2, 0))
+    assert len(built) == len(ci.atoms)  # the reversal's atoms
+    # a probe's reversal is the reversal's probe: ltInf(z, x) reads x < z
+    probe = ci.with_lt("z", "x")
+    assert probe.reversed().atoms == ((LT, ("x", "z")),) + rev.atoms
+    # ci's atoms, which with_lt extends, and one ltInf atom each for the
+    # probe and its reversal
+    assert len(built) == 2 * len(ci.atoms) + 2
+    flipped = CrispInstance(probe.variables, tuple(
+        (rel.reversed(), args) for rel, args in probe.atoms))
+    got = solve_crisp_freeset(probe, "miDual")
+    assert got.witness == solve_crisp_freeset(flipped, "mi").witness.reversed()
+    assert got.witness == WeakOrder((1, 2, 0))
 
 
 def test_antisymmetry_unsat():
@@ -338,10 +362,18 @@ def _witness_ok(inst, witness):
     return t.evaluate(structure, named, witness) == t.ZERO
 
 
+#: SHA-256 of the min-layer backend's results on the instances of
+#: test_backend_equivalence_random, recorded before the backend became the
+#: free-set driver's min finder.
+MINLAYER_RESULTS_SHA = \
+    "9d2ee00f7c40e7b7e91cb56283a5b1fa88f7b9d90489350998a8cb40a025ee51"
+
+
 def test_backend_equivalence_random():
     rng = random.Random(77)
     pool = [rg.make_minclosed_crisp(rng, f"M{i}", rng.randint(1, 3))
             for i in range(10)]
+    results = []
     for i in range(120):
         rels = rng.sample(pool, rng.randint(1, 3))
         ci = rg.rand_crisp_instance(rng, rels)
@@ -351,6 +383,80 @@ def test_backend_equivalence_random():
         if a.satisfiable:
             assert _witness_ok(ci, a.witness)
             assert _witness_ok(ci, b.witness)
+        results += [solve_crisp_freeset(ci, "min"),
+                    solve_crisp_freeset(ci.reversed(), "max")]
+        assert results[-2] == a
+    # the min finder answers exactly as the min-layer backend did
+    digest = hashlib.sha256(
+        "\n".join(map(repr, results)).encode()).hexdigest()
+    assert digest == MINLAYER_RESULTS_SHA
+
+
+def _preserved_pool(rng, tag, size):
+    """``size`` crisp relations of arity 2 or 3 (alternately) preserved by
+    ``tag``: random nonempty zero sets, kept when ``tag`` preserves them,
+    so every preserved relation can be drawn, whatever its first witness."""
+    op = t.OPS[tag]
+    pool = []
+    while len(pool) < size:
+        arity = 2 + len(pool) % 2
+        zeros = [w for w in t.enumerate_weak_orders(arity)
+                 if rng.random() < 0.5]
+        if not zeros:
+            continue
+        rel = t.crisp_relation(f"{tag}{len(pool)}", arity, zeros)
+        if t.preserves(op, rel):
+            pool.append(rel)
+    return pool
+
+
+@pytest.mark.parametrize("tag", ["mi", "miDual"])
+def test_freeset_driver_matches_the_complete_backend(tag):
+    rng = random.Random(2020 if tag == "mi" else 2021)
+    pool = _preserved_pool(rng, tag, 24)
+    # relations whose first witness is min or max are in the pool too
+    assert any(t.preserves(t.OPS[op], rel)
+               for rel in pool for op in ("min", "max"))
+
+    def driver(ci):
+        return solve_crisp_freeset(ci, tag)
+
+    counts = [0, 0]
+    for _ in range(600):
+        ci = rg.rand_crisp_instance(rng, rng.sample(pool, rng.randint(1, 3)),
+                                    max_vars=7, max_atoms=8)
+        got, want = driver(ci), solve_crisp_complete(ci)
+        assert got.satisfiable == want.satisfiable, ci
+        counts[got.satisfiable] += 1
+        if got.satisfiable and ci.variables:
+            assert _witness_ok(ci, got.witness), ci
+            assert forced_equalities(ci, backend=driver) == \
+                forced_equalities(ci), ci
+    assert min(counts) >= 100
+
+
+def test_freeset_examples():
+    ci = CrispInstance(("x", "y", "z"), ((NEQ, ("x", "y")),
+                                         (NEQ, ("y", "z")), (LT, ("z", "x"))))
+    # x lies above z; y is the first seed whose closure is free
+    assert solve_crisp_freeset(ci, "mi").witness == WeakOrder((2, 0, 1))
+    assert solve_crisp_freeset(ci.reversed(), "miDual").witness == \
+        WeakOrder((0, 2, 1))
+    cycle = CrispInstance(("x", "y"), ((LT, ("x", "y")), (LT, ("y", "x"))))
+    assert not solve_crisp_freeset(cycle, "mi").satisfiable
+    for tag in ("min", "max", "mi", "miDual"):
+        assert solve_crisp_freeset(CrispInstance((), ()), tag) == \
+            SatResult(True, None)
+    with pytest.raises(ValueError):
+        solve_crisp_freeset(ci, "mx")
+    # no cap: a chain past the crisp cap is answered
+    vs = tuple(f"v{i}" for i in range(40))
+    chain = CrispInstance(vs, tuple((NEQ if i % 2 else LT, (vs[i], vs[i + 1]))
+                                    for i in range(39)))
+    with pytest.raises(t.CapacityError):
+        solve_crisp_complete(chain)
+    res = solve_crisp_freeset(chain, "mi")
+    assert _witness_ok(chain, res.witness)
 
 
 def test_forced_equalities_examples():

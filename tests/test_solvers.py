@@ -4,6 +4,7 @@ import threading
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -386,7 +387,8 @@ def test_build_hat_and_lex_solve_share_derived_relations(monkeypatch):
     s = ValuedStructure([r3_relation(), t.rel_abg(INF, 0, INF, name="ltC")])
     hat = build_hat(s)
     met = []
-    for name in ("solve_crisp_complete", "solve_crisp_minlayer"):
+    for name in ("solve_crisp_complete", "solve_crisp_minlayer",
+                 "solve_crisp_freeset"):
         real = getattr(solvers, name)
 
         def recording(ci, *args, _real=real, **kwargs):
@@ -658,7 +660,8 @@ def test_dispatch_fas_enumerates_no_weak_orders_on_all_variables(monkeypatch):
 
 def test_lex_solves_the_feasibility_instance_once(monkeypatch):
     # the backend's solution seeds forced_equalities, so the feasibility
-    # instance is not solved again as its base solve
+    # instance is not solved again as its base solve; the witness is mi,
+    # so every run, the probes included, is a run of the free-set driver
     s = ValuedStructure([named_relation("neq01"), named_relation("ltInf")])
     inst = Instance.from_atoms(
         [("ltInf", ("x", "y")), ("neq01", ("y", "z")), ("neq01", ("z", "z")),
@@ -668,15 +671,19 @@ def test_lex_solves_the_feasibility_instance_once(monkeypatch):
         tuple((t.feas(solvers.atom_relation(s, name)), args)
               for name, args in inst.atoms))
     calls = []
-    real = cspengine.solve_crisp_complete
+    real = cspengine.solve_crisp_freeset
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cspengine, "solve_crisp_complete", counting)
-    monkeypatch.setattr(solvers, "solve_crisp_complete", counting)
-    assert cspengine.forced_equalities(feas_inst) == (("x", "w"),)
+    monkeypatch.setattr(cspengine, "solve_crisp_freeset", counting)
+    monkeypatch.setattr(solvers, "solve_crisp_freeset", counting)
+    complete = []
+    for module in (cspengine, solvers):
+        monkeypatch.setattr(module, "solve_crisp_complete", complete.append)
+    assert cspengine.forced_equalities(
+        feas_inst, backend=lambda ci: counting(ci, "mi")) == (("x", "w"),)
     standalone = len(calls)  # its base solve plus its probes
     assert standalone > 1
 
@@ -692,6 +699,57 @@ def test_lex_solves_the_feasibility_instance_once(monkeypatch):
     for probe in calls[1:-1]:
         assert probe.atoms[1:] == feas_inst.atoms
         assert probe.atoms[0][0].name == "ltInf"
+    assert complete == []
+
+
+# ---------------------------------------------------------------------------
+# mi and miDual routes past the crisp cap
+# ---------------------------------------------------------------------------
+
+def _r3_one_sided():
+    """0 on injective triples, 1 on ``x = y < z``, ∞ otherwise."""
+    def fn(w):
+        if w.is_injective():
+            return ZERO
+        r = w.ranks
+        return Cost(1) if r[0] == r[1] < r[2] else INF
+    return relation_from_fn("R3o", 3, fn)
+
+
+def test_mi_and_midual_routes_answer_past_the_crisp_cap():
+    n = 64
+    assert n > config.crisp_cap()
+    rng = random.Random(64)
+    names = [f"v{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    # neqInf/ltInf atoms true at a hidden weak order: optimum 0
+    hidden = {v: i % (n // 2) for i, v in enumerate(order)}
+    atoms = []
+    while len(atoms) < 2 * n:
+        x, y = rng.sample(names, 2)
+        if hidden[x] < hidden[y]:
+            atoms.append((rng.choice(("neqInf", "ltInf")), (x, y)))
+        elif hidden[x] != hidden[y]:
+            atoms.append(("neqInf", (x, y)))
+    ess = ValuedStructure([named_relation("neqInf"),
+                           named_relation("ltInf")])
+    # one-sided R3 along a hidden linear order: each R3o(a, a, c) atom with
+    # a before c costs exactly 1 there, and every other atom 0
+    pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 4)]
+    repeated = [("R3o", (order[i], order[i], order[j])) for i, j in pairs]
+    lex_atoms = [("R3o", tuple(order[i:i + 3])) for i in range(n - 2)]
+    lex_atoms += repeated
+    lex_atoms += [("neq01", tuple(rng.sample(order, 2)))
+                  for _ in range(n // 2)]
+    lex = ValuedStructure([_r3_one_sided(), named_relation("neq01")])
+    for s, inst_atoms, case, tag, opt in (
+            (ess, atoms, "essentiallyCrispCase", "mi", ZERO),
+            (lex, lex_atoms, "lexCase", "miDual", Cost(len(repeated)))):
+        inst = Instance(tuple(names), tuple(inst_atoms))
+        out, verdict = solve_dispatch(s, inst)
+        assert (verdict.case, verdict.witness.tag) == (case, tag)
+        assert out.optimal_cost == opt
+        assert evaluate(s, inst, out.argmin) == opt
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +838,18 @@ def test_plan_cache_reads_the_search_cap_at_every_solve(cold_plans,
                                                         monkeypatch):
     cycle = Instance.from_atoms(
         [("lt01", (f"v{i}", f"v{(i + 1) % 5}")) for i in range(5)])
-    lex = ValuedStructure([named_relation("neq01"), named_relation("ltInf")])
+    # witness min: the min-layer wrapper still reads the crisp cap
+    point = files.parse_structure(
+        (Path(__file__).resolve().parent.parent / "corpus"
+         / "point-order.structure").read_text())
     chain = Instance.from_atoms(
-        [("ltInf", (f"v{i}", f"v{i + 1}")) for i in range(4)])
+        [("lt_plus2", (f"v{i}", f"v{i + 1}")) for i in range(4)])
     assert solve_dispatch(S_LT, cycle)[0].optimal_cost == Cost(1)
-    assert solve_dispatch(lex, chain)[0].optimal_cost == ZERO
+    out, verdict = solve_dispatch(point, chain)
+    assert verdict.witness.tag == "min"
+    assert out.optimal_cost == Cost(8)
     monkeypatch.setenv("TVCSP_SEARCH_CAP", "4")
-    for s, inst in ((S_LT, cycle), (lex, chain)):
+    for s, inst in ((S_LT, cycle), (point, chain)):
         with pytest.raises(CapacityError) as err:
             solve_dispatch(s, inst)
         assert "TVCSP_SEARCH_CAP=4" in str(err.value)
