@@ -53,6 +53,7 @@ from .cspengine import (
     CrispInstance,
     SatResult,
     forced_equalities,
+    solve_crisp,
     solve_crisp_complete,
     solve_crisp_freeset,
     solve_crisp_minlayer,

@@ -11,8 +11,8 @@ explicit ``cap=`` argument.
   ``DEFAULT_ORACLE_CAP`` variables (it enumerates the ordered Bell number
   of weak orders), the layer dynamic program at ``DEFAULT_LAYER_CAP`` (it
   takes O(3ⁿ·n) steps) and the complete crisp backend (with the min/max
-  wrapper of the free-set driver) at ``DEFAULT_CRISP_CAP``; when set, all
-  three use the given value.
+  route of ``cspengine.solve_crisp``) at ``DEFAULT_CRISP_CAP``; when set,
+  all three use the given value.
 
 The improvement/preservation testers enumerate joint order types on ``2k``
 or ``2k + 1`` positions and refuse relation arities ``k`` above the fixed

@@ -12,9 +12,11 @@ Two backends decide conjunctions of atoms over crisp order-type tables:
   set of unplaced variables that meets every atom in nothing or in one of
   the atom's admissible bottom sets) as the next layer, until every
   variable is placed or no free set is left.  A finder per witness finds
-  the set; the duals run on reversed tables.  :func:`solve_crisp_minlayer`
-  is the driver with the ``min`` finder behind the crisp cap and a
-  closure check.
+  the set; the duals run on reversed tables.
+
+:func:`solve_crisp` is where an instance's witness operation picks the
+backend; :func:`solve_crisp_minlayer` is its min/max route behind a
+closure check.
 
 A solution over Q is determined by the weak order it induces on the
 variables, so witnesses are weak orders; layer ``i`` of the construction
@@ -41,9 +43,10 @@ import copy
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from . import config
+from .canonops import DUAL_BASE, OPS, preserves
 from .errors import CapacityError, PreconditionError, UnsupportedClassError
 from .orders import WeakOrder, canonical_ranks
 from .relations import ValuedRelation, named_relation
@@ -243,13 +246,12 @@ def _backtrack(atoms: tuple[_CompiledAtom, ...],
 
 def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                          check_closure: bool = True) -> SatResult:
-    """:func:`solve_crisp_freeset` with the ``min`` (or ``max``) finder,
-    behind the crisp cap and, unless ``check_closure`` is false, a check
-    that ``direction`` preserves every relation."""
+    """:func:`solve_crisp` for the ``min`` (or ``max``) witness, behind,
+    unless ``check_closure`` is false, a check that ``direction``
+    preserves every relation."""
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     if check_closure:
-        from .canonops import OPS, preserves
         seen: set[int] = set()
         for rel, _ in inst.atoms:
             if id(rel) in seen:
@@ -259,11 +261,7 @@ def solve_crisp_minlayer(inst: CrispInstance, direction: str = "min",
                 raise UnsupportedClassError(
                     f"relation {rel.name!r} is not preserved by "
                     f"{direction}; the min-layer backend does not cover it")
-    # The driver needs no cap.  This guard only keeps the essentially-crisp
-    # min route capped until the benchmark's capped-climb fixture moves to
-    # another route; then it goes (ROADMAP item 1, step 1).
-    _check_cap(inst)
-    return solve_crisp_freeset(inst, direction)
+    return solve_crisp(inst, direction)
 
 
 def _min_finder(atoms: tuple[_CompiledAtom, ...], n: int):
@@ -359,9 +357,8 @@ def _horn_closure(seed: int, atoms: tuple[_CompiledAtom, ...],
 
 
 #: Free-set finder per base witness, built once per solve from the
-#: compiled atoms and the number of variables, and the base of each dual.
+#: compiled atoms and the number of variables.
 _FINDERS = {"min": _min_finder, "mi": _mi_finder}
-_DUALS = {"max": "min", "miDual": "mi"}
 
 
 def solve_crisp_freeset(inst: CrispInstance, witness_tag: str) -> SatResult:
@@ -392,15 +389,15 @@ def solve_crisp_freeset(inst: CrispInstance, witness_tag: str) -> SatResult:
     preserves every relation, which the caller guarantees.  A satisfiable
     answer is checked atom by atom at the end.
     """
-    base = _DUALS.get(witness_tag)
-    if base is not None:
+    base = DUAL_BASE.get(witness_tag, witness_tag)
+    finder = _FINDERS.get(base)
+    if finder is None:
+        raise ValueError(f"no free-set finder for {witness_tag!r}")
+    if base != witness_tag:
         res = solve_crisp_freeset(inst.reversed(), base)
         if res.witness is None:
             return res
         return SatResult(True, res.witness.reversed())
-    finder = _FINDERS.get(witness_tag)
-    if finder is None:
-        raise ValueError(f"no free-set finder for {witness_tag!r}")
 
     atoms = inst._compiled[1]
     n = len(inst.variables)
@@ -432,10 +429,27 @@ def solve_crisp_freeset(inst: CrispInstance, witness_tag: str) -> SatResult:
     return SatResult(True, WeakOrder(tuple(layer[i] for i in range(n))))
 
 
+def solve_crisp(inst: CrispInstance,
+                witness_tag: Optional[str] = None) -> SatResult:
+    """Decide ``inst`` on the backend its witness picks: the free-set
+    driver when the tag's base has a finder (``min``, ``max``, ``mi``,
+    ``miDual``), the complete search otherwise (``mx``, ``lele``, their
+    duals, ``None``).  The caller guarantees that the witness preserves
+    every relation.  The backends are looked up by name at each call, so
+    a wrapper put in their place is the one that runs."""
+    if DUAL_BASE.get(witness_tag, witness_tag) in _FINDERS:
+        if witness_tag in ("min", "max"):
+            # The driver needs no cap; this keeps the benchmark's capped
+            # climb on the min route until it moves (ROADMAP item 1).
+            _check_cap(inst)
+        return solve_crisp_freeset(inst, witness_tag)
+    return solve_crisp_complete(inst)
+
+
 def forced_equalities(inst: CrispInstance,
                       witness: Optional[WeakOrder] = None,
-                      backend: Optional[Callable[[CrispInstance], SatResult]]
-                      = None) -> tuple[tuple[str, str], ...]:
+                      witness_tag: Optional[str] = None
+                      ) -> tuple[tuple[str, str], ...]:
     """All variable pairs equal in every solution, as ``(x, y)`` pairs with
     ``x`` declared before ``y``, in declaration order.
 
@@ -458,15 +472,13 @@ def forced_equalities(inst: CrispInstance,
     the base solve is skipped.  Any solution gives the same pairs: a pair
     that some solution separates is not forced, whichever seeds the search.
 
-    Every solve runs on ``backend``, :func:`solve_crisp_complete` when it
-    is not given.  A backend that decides the instance's class decides
-    the probes too, since ``ltInf`` is preserved by all eight catalog
-    operations.
+    Every solve is :func:`solve_crisp` with ``witness_tag``, the operation
+    preserving the instance's relations (the complete search when it is
+    not given).  The backend it picks decides the probes too, since
+    ``ltInf`` is preserved by all eight catalog operations.
     """
-    if backend is None:
-        backend = solve_crisp_complete
     if witness is None:
-        base = backend(inst)
+        base = solve_crisp(inst, witness_tag)
         if not base.satisfiable:
             raise PreconditionError(
                 "forced equalities of an unsatisfiable instance")
@@ -481,9 +493,9 @@ def forced_equalities(inst: CrispInstance,
             if any(r[i] != r[j] for r in seen):
                 continue
             if cls[i] != cls[j]:
-                res = backend(inst.with_lt(vs[i], vs[j]))
+                res = solve_crisp(inst.with_lt(vs[i], vs[j]), witness_tag)
                 if not res.satisfiable:
-                    res = backend(inst.with_lt(vs[j], vs[i]))
+                    res = solve_crisp(inst.with_lt(vs[j], vs[i]), witness_tag)
                 if res.satisfiable:
                     seen.append(res.witness.ranks)
                     continue

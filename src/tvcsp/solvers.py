@@ -16,6 +16,9 @@ relation.  :func:`solve_dispatch` keeps the structure and verdict of
 recently seen templates in a small cache keyed on structure content, so a
 template sent again with a new instance is not classified again and its
 solver reads the memos of the relations first classified.
+
+The lex and essentially crisp solvers decide their crisp instances with
+:func:`cspengine.solve_crisp`, which the witness's tag routes to a backend.
 """
 
 from __future__ import annotations
@@ -42,14 +45,7 @@ from .classify import (
 )
 from .canonops import CanonicalOp, OPS, improves
 from .cost import Cost, INF, ZERO
-from .cspengine import (
-    CrispInstance,
-    SatResult,
-    forced_equalities,
-    solve_crisp_complete,
-    solve_crisp_freeset,
-    solve_crisp_minlayer,
-)
+from .cspengine import CrispInstance, forced_equalities, solve_crisp
 from .errors import CapacityError, InvariantViolation, PreconditionError
 from .orders import WeakOrder, bottom_order, canonical_ranks
 # atom_relation and resolve_atoms are also read as solvers.<name>
@@ -353,20 +349,6 @@ def solve_equality_inj(structure: ValuedStructure, inst: Instance,
     return SolveOutcome(cost, w, _decide(cost, inst.threshold), EQ_INJ_CASE)
 
 
-def _pick_backend(witness: Optional[CanonicalOp]):
-    """Crisp backend matching the witness operation: the free-set driver
-    for ``mi`` and ``miDual``, the min-layer wrapper around it (still
-    behind the crisp cap) for ``min`` and ``max``, and the complete search
-    for ``mx``, ``lele`` and their duals.  Closure re-checks are skipped;
-    the caller guarantees preservation."""
-    tag = witness.tag if witness is not None else None
-    if tag in ("min", "max"):
-        return lambda ci: solve_crisp_minlayer(ci, tag, check_closure=False)
-    if tag in ("mi", "miDual"):
-        return lambda ci: solve_crisp_freeset(ci, tag)
-    return solve_crisp_complete
-
-
 def _feas_instance(atoms, variables) -> CrispInstance:
     """The crisp instance of the atoms' feasibility relations."""
     # a list first: see Instance.from_atoms
@@ -420,15 +402,15 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
                 "no catalog operation preserves the derived crisp structure")
     inst = inst.with_threshold(threshold)
     atoms = resolve_atoms(structure, inst)
-    backend = _pick_backend(witness)
+    tag = witness.tag
 
     feas_inst = _feas_instance(atoms, inst.variables)
-    base = backend(feas_inst)
+    base = solve_crisp(feas_inst, tag)
     if not base.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold), LEX_CASE)
 
     forced = forced_equalities(feas_inst, witness=base.witness,
-                               backend=backend)
+                               witness_tag=tag)
     uf = _UnionFind(inst.variables)
     for x, y in forced:
         uf.union(x, y)
@@ -449,7 +431,7 @@ def solve_lex(structure: ValuedStructure, inst: Instance,
         crisp_atoms.append((optimum, tuple(distinct)))
 
     psi = CrispInstance(tuple(reps), tuple(crisp_atoms))
-    res = backend(psi)
+    res = solve_crisp(psi, tag)
     if not res.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold), LEX_CASE)
     rep_rank = {r: res.witness.ranks[i] for i, r in enumerate(reps)}
@@ -473,7 +455,7 @@ def solve_essentially_crisp(structure: ValuedStructure, inst: Instance,
                 "no catalog operation preserves the feasibility structure")
     inst = inst.with_threshold(threshold)
     atoms = resolve_atoms(structure, inst)
-    res = _pick_backend(witness)(_feas_instance(atoms, inst.variables))
+    res = solve_crisp(_feas_instance(atoms, inst.variables), witness.tag)
     if not res.satisfiable:
         return SolveOutcome(INF, None, _decide(INF, inst.threshold),
                             ESS_CRISP_CASE)

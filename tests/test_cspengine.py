@@ -14,6 +14,7 @@ from tvcsp import (
     WeakOrder,
     forced_equalities,
     named_relation,
+    solve_crisp,
     solve_crisp_complete,
     solve_crisp_freeset,
     solve_crisp_minlayer,
@@ -430,7 +431,7 @@ def test_freeset_driver_matches_the_complete_backend(tag):
         counts[got.satisfiable] += 1
         if got.satisfiable and ci.variables:
             assert _witness_ok(ci, got.witness), ci
-            assert forced_equalities(ci, backend=driver) == \
+            assert forced_equalities(ci, witness_tag=tag) == \
                 forced_equalities(ci), ci
     assert min(counts) >= 100
 
@@ -447,8 +448,12 @@ def test_freeset_examples():
     for tag in ("min", "max", "mi", "miDual"):
         assert solve_crisp_freeset(CrispInstance((), ()), tag) == \
             SatResult(True, None)
-    with pytest.raises(ValueError):
-        solve_crisp_freeset(ci, "mx")
+    # a dual without a finder fails before its reversal is built
+    fresh = CrispInstance(ci.variables, ci.atoms)
+    for tag in ("mx", "mxDual"):
+        with pytest.raises(ValueError, match=repr(tag)):
+            solve_crisp_freeset(fresh, tag)
+    assert "_reversed" not in fresh.__dict__
     # no cap: a chain past the crisp cap is answered
     vs = tuple(f"v{i}" for i in range(40))
     chain = CrispInstance(vs, tuple((NEQ if i % 2 else LT, (vs[i], vs[i + 1]))
@@ -457,6 +462,54 @@ def test_freeset_examples():
         solve_crisp_complete(chain)
     res = solve_crisp_freeset(chain, "mi")
     assert _witness_ok(chain, res.witness)
+
+
+#: The backend :func:`solve_crisp` runs per witness tag, and whether the
+#: route reads the crisp cap.
+SOLVE_CRISP_ROUTES = [
+    ("min", "solve_crisp_freeset", True),
+    ("max", "solve_crisp_freeset", True),
+    ("mi", "solve_crisp_freeset", False),
+    ("miDual", "solve_crisp_freeset", False),
+    ("mx", "solve_crisp_complete", True),
+    ("mxDual", "solve_crisp_complete", True),
+    ("lele", "solve_crisp_complete", True),
+    ("leleDual", "solve_crisp_complete", True),
+    (None, "solve_crisp_complete", True),
+]
+
+
+def test_solve_crisp_routes_cover_every_classifier_witness():
+    assert [tag for tag, _, _ in SOLVE_CRISP_ROUTES] == \
+        [op.tag for op in t.CLASSIFIER_OPS] + [None]
+
+
+@pytest.mark.parametrize("tag,backend,capped", SOLVE_CRISP_ROUTES)
+def test_solve_crisp_routes_each_witness(monkeypatch, tag, backend, capped):
+    # a chain of ltInf and neqInf atoms, preserved by mi and miDual,
+    # past the crisp cap
+    n = 64
+    assert n > t.config.crisp_cap()
+    vs = tuple(f"v{i}" for i in range(n))
+    chain = CrispInstance(vs, tuple((NEQ if i % 2 else LT, (vs[i], vs[i + 1]))
+                                    for i in range(n - 1)))
+    if capped:
+        with pytest.raises(t.CapacityError) as err:
+            solve_crisp(chain, tag)
+        assert "TVCSP_SEARCH_CAP" in str(err.value)
+    else:
+        assert _witness_ok(chain, solve_crisp(chain, tag).witness)
+
+    # the backends are looked up by name at every call
+    ran = []
+    for name in ("solve_crisp_complete", "solve_crisp_freeset"):
+        monkeypatch.setattr(cspengine, name,
+                            lambda ci, *args, _name=name:
+                            ran.append((_name, args)) or SatResult(False))
+    ci = CrispInstance(("x", "y"), ((LT, ("x", "y")),))
+    assert solve_crisp(ci, tag) == SatResult(False)
+    args = (tag,) if backend == "solve_crisp_freeset" else ()
+    assert ran == [(backend, args)]
 
 
 def test_forced_equalities_examples():

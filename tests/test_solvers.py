@@ -389,13 +389,13 @@ def test_build_hat_and_lex_solve_share_derived_relations(monkeypatch):
     met = []
     for name in ("solve_crisp_complete", "solve_crisp_minlayer",
                  "solve_crisp_freeset"):
-        real = getattr(solvers, name)
+        real = getattr(cspengine, name)
 
         def recording(ci, *args, _real=real, **kwargs):
             met.extend(rel for rel, _ in ci.atoms)
             return _real(ci, *args, **kwargs)
 
-        monkeypatch.setattr(solvers, name, recording)
+        monkeypatch.setattr(cspengine, name, recording)
     inst = Instance.from_atoms([("R3", ("a", "a", "c")),
                                 ("R3", ("a", "b", "c")), ("ltC", ("c", "d"))])
     assert solve_lex(s, inst).optimal_cost == Cost(1)
@@ -678,12 +678,10 @@ def test_lex_solves_the_feasibility_instance_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cspengine, "solve_crisp_freeset", counting)
-    monkeypatch.setattr(solvers, "solve_crisp_freeset", counting)
     complete = []
-    for module in (cspengine, solvers):
-        monkeypatch.setattr(module, "solve_crisp_complete", complete.append)
+    monkeypatch.setattr(cspengine, "solve_crisp_complete", complete.append)
     assert cspengine.forced_equalities(
-        feas_inst, backend=lambda ci: counting(ci, "mi")) == (("x", "w"),)
+        feas_inst, witness_tag="mi") == (("x", "w"),)
     standalone = len(calls)  # its base solve plus its probes
     assert standalone > 1
 
@@ -750,6 +748,92 @@ def test_mi_and_midual_routes_answer_past_the_crisp_cap():
         assert (verdict.case, verdict.witness.tag) == (case, tag)
         assert out.optimal_cost == opt
         assert evaluate(s, inst, out.argmin) == opt
+
+
+# ---------------------------------------------------------------------------
+# mx, mxDual and lele routes: the complete crisp search
+# ---------------------------------------------------------------------------
+
+def _census_x():
+    """Two arguments equal, below the third: the one ternary crisp
+    relation whose first witness is mx."""
+    return t.crisp_relation("X", 3, [WeakOrder(r) for r in (
+        (0, 0, 1), (0, 1, 0), (1, 0, 0))])
+
+
+def _census_l():
+    """The first ternary crisp relation, in census order, whose first
+    witness is lele."""
+    return t.crisp_relation("L", 3, [WeakOrder(r) for r in (
+        (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1),
+        (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))])
+
+
+COMPLETE_ROUTES = [
+    ([_census_x()], "essentiallyCrispCase", "mx"),
+    ([t.reverse_relation(_census_x(), name="Xr")],
+     "essentiallyCrispCase", "mxDual"),
+    ([_census_l()], "essentiallyCrispCase", "lele"),
+    ([_census_l(), named_relation("neq01")], "lexCase", "lele"),
+]
+
+
+@pytest.mark.parametrize("rels,case,tag", COMPLETE_ROUTES,
+                         ids=["X", "Xr", "L", "L+neq01"])
+def test_complete_search_routes_agree_with_the_oracle(monkeypatch, rels,
+                                                      case, tag):
+    s = ValuedStructure(rels)
+    name = rels[0].name
+    answered = []
+    real_complete = cspengine.solve_crisp_complete
+
+    def counting(ci):
+        answered.append(ci)
+        return real_complete(ci)
+
+    monkeypatch.setattr(cspengine, "solve_crisp_complete", counting)
+    forced = []
+    real_forced = solvers.forced_equalities
+
+    def recording(*args, **kwargs):
+        forced.append(real_forced(*args, **kwargs))
+        return forced[-1]
+
+    monkeypatch.setattr(solvers, "forced_equalities", recording)
+    # never satisfiable: the all-equal order is no zero of X, Xr or L
+    fixed = [Instance.from_atoms([(name, ("a", "a", "a"))]),
+             Instance.from_atoms([(name, ("a", "b", "c")),
+                                  ("eq", ("a", "b")), ("eq", ("b", "c"))]),
+             Instance.from_atoms([(name, ("a", "b", "c")),
+                                  ("empty", ("b",))])]
+    # eq atoms force pairs of the feasibility instance, under a neq01
+    if len(rels) > 1:
+        fixed += [Instance.from_atoms([(name, ("a", "b", "c")),
+                                       ("eq", ("a", "b")),
+                                       ("neq01", ("a", "b"))], Cost(1)),
+                  Instance.from_atoms([(name, ("a", "b", "c")),
+                                       (name, ("c", "d", "e")),
+                                       ("eq", ("d", "b")),
+                                       ("neq01", ("b", "d")),
+                                       ("neq01", ("a", "e"))], Cost(1))]
+    rng = random.Random(2121)
+    insts = fixed + [rg.rand_instance(rng, s, max_vars=6, threshold_prob=0.4)
+                     for _ in range(60)]
+    finite = 0
+    for inst in insts:
+        answered.clear()
+        out, verdict = solve_dispatch(s, inst)
+        assert (verdict.case, verdict.witness.tag) == (case, tag)
+        assert out.method == case
+        assert answered, inst
+        want = solve_oracle(s, inst)
+        assert (out.optimal_cost, out.decision) == \
+            (want.optimal_cost, want.decision), inst
+        if out.argmin is not None:
+            assert evaluate(s, inst, out.argmin) == out.optimal_cost
+        finite += out.optimal_cost.is_finite
+    assert 0 < finite < len(insts)
+    assert (any(forced) if case == "lexCase" else forced == [])
 
 
 # ---------------------------------------------------------------------------
