@@ -10,7 +10,7 @@ explicit ``cap=`` argument.
   backends accept.  When unset, the brute-force optimizer caps at
   ``DEFAULT_ORACLE_CAP`` variables (it enumerates the ordered Bell number
   of weak orders), the layer dynamic program at ``DEFAULT_LAYER_CAP`` (it
-  takes O(3ⁿ·n) steps) and the complete crisp backend (with the min/max
+  takes O(3ⁿ) steps) and the complete crisp backend (with the min/max
   route of ``cspengine.solve_crisp``) at ``DEFAULT_CRISP_CAP``; when set,
   all three use the given value.
 

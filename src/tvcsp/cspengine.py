@@ -393,12 +393,19 @@ def solve_crisp_freeset(inst: CrispInstance, witness_tag: str) -> SatResult:
     finder = _FINDERS.get(base)
     if finder is None:
         raise ValueError(f"no free-set finder for {witness_tag!r}")
-    if base != witness_tag:
-        res = solve_crisp_freeset(inst.reversed(), base)
-        if res.witness is None:
-            return res
-        return SatResult(True, res.witness.reversed())
+    if base == witness_tag:
+        return _place_free_sets(inst, finder, witness_tag)
+    res = _place_free_sets(inst.reversed(), finder, witness_tag)
+    if res.witness is None:
+        return res
+    return SatResult(True, res.witness.reversed())
 
+
+def _place_free_sets(inst: CrispInstance, finder,
+                     witness_tag: str) -> SatResult:
+    """:func:`solve_crisp_freeset`'s layer loop and final check, with the
+    base witness's ``finder``; ``witness_tag`` names the class in the
+    error."""
     atoms = inst._compiled[1]
     n = len(inst.variables)
     if n == 0:

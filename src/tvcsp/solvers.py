@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from . import config
@@ -169,16 +169,29 @@ def solve_exact_layers(structure: ValuedStructure,
     variables; same answer as :func:`solve_oracle`, argmin included.
 
     A weak order is built bottom-up, one layer at a time.  An atom on
-    ``{x, y}`` is charged when the first of the two is placed: equal when
-    both land in the same layer, ``<`` towards the one still unplaced.
-    The cost of a layer ``L`` placed on ``S`` thus depends on ``L`` and
-    the unplaced rest only, and the best completion of every ``S`` follows
-    from those of its supersets: O(3ⁿ·n) steps instead of the ordered Bell
-    number of ``n`` weak orders.  Each state also keeps the least
-    completing rank vector (as base ``n + 1`` digits, the first variable
-    most significant), so ties break exactly as in the oracle.  Atoms on
-    one variable cost their all-equal entry wherever the assignment goes.
-    Capped at ``config.layer_cap()`` variables.
+    ``{x, y}`` is charged when the later of the two is placed: equal when
+    both land in the same layer ``L``, ``x < y`` when ``x`` is already in
+    the placed set ``P`` and ``y`` lands in ``L``.  So the cost of placing
+    ``L`` on ``P`` is ``inside[L] + Σ_{y∈L} over[P][y]``, which for a
+    fixed ``P`` is additive over the members of ``L``: walking the subsets
+    of the unplaced rest in increasing order, each one's sum is that of
+    the subset without its lowest member plus one term.  The best
+    completion of every ``P`` follows from those of its supersets in
+    O(3ⁿ) steps, one addition each, after O(n·2ⁿ) steps of tables, instead
+    of the ordered Bell number of ``n`` weak orders.  Each state also keeps
+    the least completing rank vector (as base ``n + 1`` digits, the first
+    variable most significant), so ties break exactly as in the oracle.
+    Atoms on one variable cost their all-equal entry wherever the
+    assignment goes.  Capped at ``config.layer_cap()`` variables.
+
+    Charging an atom at its earlier variable instead, as the oracle's sum
+    does not care which, changes the cost of every completion of ``P`` by
+    the same ``C(P) = Σ_{x∈P, y∉P} below[x][y]``.  When ``C(P)`` is finite
+    both rules pick the same completion.  When it is ∞, every order
+    through ``P`` costs ∞; that reaches the answer only when the optimum
+    is ∞, and then the first layer is all variables (rank vector 0, the
+    oracle's all-equal order) under either rule.  Costs are only ever
+    added, never subtracted, since ``∞ - ∞`` is undefined.
     """
     n = len(inst.variables)
     limit = config.layer_cap()
@@ -210,40 +223,59 @@ def solve_exact_layers(structure: ValuedStructure,
         below[x][y] += lt
         below[y][x] += gt
         equal[min(x, y)][max(x, y)] += eq
-    if constant == float("inf"):
+    inf = float("inf")
+    if constant == inf:
         return SolveOutcome(INF, bottom_order(n),
                             _decide(INF, inst.threshold), "exactLayers")
 
+    # Per set m of variables, from m without its lowest member x: low[m]
+    # is x; digits[m] the rank vector with a 1 at each member; inside[m]
+    # the atoms within m, all equal; over[m][y] the atoms from m up to y.
     full = (1 << n) - 1
-    members = [tuple(i for i in range(n) if m >> i & 1)
-               for m in range(full + 1)]
-    # within[L]: atoms inside layer L; under[x][T]: atoms from x up to T
-    within = [sum(equal[x][y] for x in ms for y in ms if x < y)
-              for ms in members]
-    under = [[sum(below[x][y] for y in ms) for ms in members]
-             for x in range(n)]
     base = n + 1
-    digits = [sum(base ** (n - 1 - i) for i in ms) for ms in members]
+    place = [base ** (n - 1 - i) for i in range(n)]
+    low = [0] * (full + 1)
+    digits = [0] * (full + 1)
+    inside: list[Scaled] = [0] * (full + 1)
+    over: list[list[Scaled]] = [[0] * n]
+    for m in range(1, full + 1):
+        upper = m & (m - 1)
+        x = (m ^ upper).bit_length() - 1
+        low[m] = x
+        digits[m] = digits[upper] + place[x]
+        over.append(list(map(add, over[upper], below[x])))
+        total = inside[upper]
+        while upper:  # the pairs of x with the rest of m
+            total += equal[x][low[upper]]
+            upper &= upper - 1
+        inside[m] = total
 
-    best: list[tuple[Scaled, int]] = [(0, 0)] * (full + 1)
+    # best_cost[P], best_vec[P]: the least completion of the placed set P,
+    # (∞, 0) when every completion costs ∞ (see above: such a vector only
+    # reaches the answer when the optimum is ∞, and that argmin is 0);
+    # along[L]: Σ_{y∈L} over[P][y] for the subsets L of P's rest
+    best_cost: list[Scaled] = [0] * (full + 1)
+    best_vec = [0] * (full + 1)
+    along: list[Scaled] = [0] * (full + 1)
     for placed in range(full - 1, -1, -1):
         rest = full ^ placed
-        choice = None
-        layer = rest
+        vals = over[placed]
+        least, least_vec = inf, 0
+        layer = rest & -rest
         while layer:
-            above = rest ^ layer
-            cost, vec = best[placed | layer]
-            cand = (cost + within[layer]
-                    + sum(under[x][above] for x in members[layer]),
-                    vec + digits[above])
-            if choice is None or cand < choice:
-                choice = cand
-            layer = (layer - 1) & rest
-        best[placed] = choice
+            step = along[layer & (layer - 1)] + vals[low[layer]]
+            along[layer] = step
+            cost = inside[layer] + step + best_cost[placed | layer]
+            if cost <= least:
+                vec = best_vec[placed | layer] + digits[rest ^ layer]
+                if cost < least or vec < least_vec:
+                    least, least_vec = cost, vec
+            layer = (layer - rest) & rest
+        best_cost[placed] = least
+        best_vec[placed] = least_vec
 
-    total, vec = best[0]
-    ranks = tuple(vec // base ** (n - 1 - i) % base for i in range(n))
-    cost = unscaled(constant + total, denom)
+    ranks = tuple(best_vec[0] // d % base for d in place)
+    cost = unscaled(constant + best_cost[0], denom)
     return SolveOutcome(cost, WeakOrder(ranks),
                         _decide(cost, inst.threshold), "exactLayers")
 

@@ -464,6 +464,32 @@ def test_freeset_examples():
     assert _witness_ok(chain, res.witness)
 
 
+def test_dual_freeset_solve_is_one_driver_call(monkeypatch):
+    # a wrapper on the driver's name sees a dual solve once, reversal and all
+    calls = []
+    real = cspengine.solve_crisp_freeset
+
+    def counting(ci, tag):
+        calls.append(tag)
+        return real(ci, tag)
+
+    monkeypatch.setattr(cspengine, "solve_crisp_freeset", counting)
+    chain = CrispInstance(("x", "y", "z"), ((LT, ("x", "y")),
+                                            (LT, ("y", "z"))))
+    mixed = CrispInstance(("x", "y", "z"), ((NEQ, ("x", "y")),
+                                            (NEQ, ("y", "z")),
+                                            (LT, ("z", "x")))).reversed()
+    cycle = CrispInstance(("x", "y"), ((LT, ("x", "y")), (LT, ("y", "x"))))
+    for tag, ci, want in [
+            ("max", chain, SatResult(True, WeakOrder((0, 1, 2)))),
+            ("miDual", mixed, SatResult(True, WeakOrder((0, 2, 1)))),
+            ("max", cycle, SatResult(False)),
+            ("miDual", cycle, SatResult(False))]:
+        calls.clear()
+        assert solve_crisp(ci, tag) == want
+        assert calls == [tag]
+
+
 #: The backend :func:`solve_crisp` runs per witness tag, and whether the
 #: route reads the crisp cap.
 SOLVE_CRISP_ROUTES = [

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import threading
@@ -479,12 +480,12 @@ def test_monotone_repetition():
 # exact layer dynamic program (hard route, atoms on at most two variables)
 # ---------------------------------------------------------------------------
 
-def _two_variable_instance(rng, structure, n):
+def _two_variable_instance(rng, structure, n, max_atoms=8):
     """Atoms whose arguments repeat at most two distinct variables; some
     variables may appear in no atom."""
     variables = [f"v{i}" for i in range(n)]
     atoms = []
-    for _ in range(rng.randint(0, 8)):
+    for _ in range(rng.randint(0, max_atoms)):
         roll = rng.random()
         if roll < 0.04:
             atoms.append(("empty", (rng.choice(variables),)))
@@ -502,17 +503,23 @@ def _two_variable_instance(rng, structure, n):
     return Instance.from_atoms(atoms, threshold, extra_vars=variables)
 
 
+def _shifted_structure(rng):
+    """One to three random tables of arity 1-3, some with ∞ entries,
+    some shifted by a negative fraction."""
+    rels = []
+    for j in range(rng.randint(1, 3)):
+        rel = rg.rand_relation(rng, f"R{j}", rng.randint(1, 3),
+                               inf_prob=rng.choice([0.0, 0.1, 0.3]))
+        amount = rng.choice([0, 0, Fraction(-5, 2), Fraction(-1, 3)])
+        rels.append(t.shift(rel, amount, name=f"R{j}"))
+    return ValuedStructure(rels)
+
+
 def test_exact_layers_agrees_with_oracle():
     rng = random.Random(707)
     sizes = set()
     for _ in range(150):
-        rels = []
-        for j in range(rng.randint(1, 3)):
-            rel = rg.rand_relation(rng, f"R{j}", rng.randint(1, 3),
-                                   inf_prob=rng.choice([0.0, 0.1, 0.3]))
-            amount = rng.choice([0, 0, Fraction(-5, 2), Fraction(-1, 3)])
-            rels.append(t.shift(rel, amount, name=f"R{j}"))
-        s = ValuedStructure(rels)
+        s = _shifted_structure(rng)
         n = rng.randint(1, 6)
         sizes.add(n)
         inst = _two_variable_instance(rng, s, n)
@@ -522,6 +529,83 @@ def test_exact_layers_agrees_with_oracle():
         assert got.argmin == want.argmin, (s.relations, inst)
         assert got.decision == want.decision
     assert sizes == {1, 2, 3, 4, 5, 6}
+
+
+def test_exact_layers_infinite_tables_agree_with_oracle():
+    names = ("ltInf", "neqInf", "lt01", "eq01")
+    rng = random.Random(717)
+    infinite = 0
+    for k in range(80):
+        s = ValuedStructure([named_relation(name) for name in
+                             rng.sample(names, rng.randint(2, 4))])
+        n = 7 if k % 40 == 0 else rng.randint(2, 6)
+        inst = _two_variable_instance(rng, s, n, max_atoms=2 * n)
+        got = solve_exact_layers(s, inst)
+        want = solve_oracle(s, inst)
+        assert (got.optimal_cost, got.argmin, got.decision) == \
+            (want.optimal_cost, want.argmin, want.decision), inst
+        infinite += want.optimal_cost == INF
+    assert 10 <= infinite <= 70
+    # an ltInf cycle has an infinite optimum: the argmin is all-equal
+    s = ValuedStructure([named_relation("ltInf"), named_relation("lt01")])
+    for n in (2, 5, 7):
+        vs = [f"v{i}" for i in range(n)]
+        inst = Instance.from_atoms(
+            [("ltInf", (vs[i], vs[(i + 1) % n])) for i in range(n)]
+            + [("lt01", (vs[i], vs[0])) for i in range(1, n)])
+        got = solve_exact_layers(s, inst)
+        want = solve_oracle(s, inst)
+        assert got.optimal_cost == want.optimal_cost == INF
+        assert got.argmin == want.argmin == WeakOrder((0,) * n)
+
+
+def test_exact_layers_fas_past_the_oracle():
+    # n // 2 arc-disjoint 3-cycles, each with one backward arc in a hidden
+    # order, plus forward arcs of that order: the optimum is n // 2
+    n = 12
+    assert n > config.oracle_cap()
+    rng = random.Random(1212)
+    hidden = rng.sample(range(n), n)
+    used = set()
+    arcs = []
+    while len(arcs) < 3 * (n // 2):
+        a, b, c = sorted(rng.sample(range(n), 3), key=hidden.index)
+        pairs = {frozenset(p) for p in ((a, b), (b, c), (a, c))}
+        if pairs & used:
+            continue
+        used |= pairs
+        arcs += [(a, b), (b, c), (c, a)]
+    for a, b in combinations(range(n), 2):
+        if frozenset((a, b)) not in used and rng.random() < 0.3:
+            arcs.append(tuple(sorted((a, b), key=hidden.index)))
+    inst = Instance.from_atoms([("lt01", (f"v{a}", f"v{b}")) for a, b in arcs],
+                               extra_vars=[f"v{i}" for i in range(n)])
+    out = solve_exact_layers(S_LT, inst)
+    assert out.optimal_cost == Cost(n // 2)
+    assert evaluate(S_LT, inst, out.argmin) == out.optimal_cost
+
+
+#: SHA-256 of the layer program's ``(cost, argmin, decision)`` on the
+#: instances of test_exact_layers_answers_are_pinned, recorded while it
+#: still charged each atom when the first of its variables was placed.
+EXACT_LAYERS_SHA = \
+    "03b2b6e6bbbdeb152fb8844515e4e6d08131f55ab6028843078a6cc3efec1edc"
+
+
+def test_exact_layers_answers_are_pinned():
+    rng = random.Random(2201)
+    answers = []
+    for i in range(48):
+        s = _shifted_structure(rng)
+        inst = _two_variable_instance(rng, s, 7 + i % 4, max_atoms=20)
+        got = solve_exact_layers(s, inst)
+        answers.append((got.optimal_cost, got.argmin, got.decision))
+    costs = [cost for cost, _, _ in answers]
+    assert INF in costs and min(costs) < ZERO
+    assert {True, False, None} <= {decision for _, _, decision in answers}
+    digest = hashlib.sha256(
+        "\n".join(map(repr, answers)).encode()).hexdigest()
+    assert digest == EXACT_LAYERS_SHA
 
 
 def test_exact_layers_repeated_variables_and_constants():
